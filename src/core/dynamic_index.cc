@@ -582,15 +582,29 @@ bool DynamicIndex::Contains(uint32_t id) const {
   return im.LiveLocked(id);
 }
 
+QuerySketch DynamicIndex::Sketch(const SparseVectorView& q) const {
+  const Impl& im = *impl_;
+  std::shared_lock<std::shared_mutex> lock(im.mu);
+  return im.base_searcher->Sketch(q);
+}
+
 std::vector<QueryMatch> DynamicIndex::Query(const SparseVectorView& q,
+                                            QueryStats* stats) const {
+  QuerySketch sketch = Sketch(q);
+  std::vector<QueryMatch> out = Query(sketch, stats);
+  if (stats != nullptr) stats->query_gen_chunks = sketch.gen_chunks();
+  return out;
+}
+
+std::vector<QueryMatch> DynamicIndex::Query(QuerySketch& sketch,
                                             QueryStats* stats) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
   QueryStats base_stats, delta_stats;
-  const std::vector<QueryMatch> base_matches =
-      im.base_searcher->Query(q, stats != nullptr ? &base_stats : nullptr);
-  const std::vector<QueryMatch> delta_matches =
-      im.delta_searcher->Query(q, stats != nullptr ? &delta_stats : nullptr);
+  const std::vector<QueryMatch> base_matches = im.base_searcher->Query(
+      sketch, stats != nullptr ? &base_stats : nullptr);
+  const std::vector<QueryMatch> delta_matches = im.delta_searcher->Query(
+      sketch, stats != nullptr ? &delta_stats : nullptr);
   uint64_t ghosts = 0;
   std::vector<QueryMatch> merged = im.MergeSegments(
       base_matches, delta_matches, stats != nullptr ? &ghosts : nullptr);
@@ -612,19 +626,46 @@ std::vector<QueryMatch> DynamicIndex::QueryTopK(const SparseVectorView& q,
   return all;
 }
 
+std::vector<QueryMatch> DynamicIndex::QueryTopK(QuerySketch& sketch,
+                                                uint32_t k,
+                                                QueryStats* stats) const {
+  std::vector<QueryMatch> all = Query(sketch, stats);
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
 std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
     std::span<const SparseVectorView> queries, QueryStats* stats,
+    uint32_t top_k) const {
+  const Impl& im = *impl_;
+  std::vector<QuerySketch> sketches;
+  {
+    std::shared_lock<std::shared_mutex> lock(im.mu);
+    sketches = im.base_searcher->SketchBatch(queries);
+  }
+  std::vector<std::vector<QueryMatch>> results =
+      QueryBatch(sketches, stats, top_k);
+  if (stats != nullptr) {
+    for (const QuerySketch& s : sketches) {
+      stats->query_gen_chunks += s.gen_chunks();
+    }
+  }
+  return results;
+}
+
+std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
+    std::vector<QuerySketch>& sketches, QueryStats* stats,
     uint32_t top_k) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
   QueryStats base_stats, delta_stats;
   const auto base_results = im.base_searcher->QueryBatch(
-      queries, stats != nullptr ? &base_stats : nullptr, /*top_k=*/0);
+      sketches, stats != nullptr ? &base_stats : nullptr, /*top_k=*/0);
   const auto delta_results = im.delta_searcher->QueryBatch(
-      queries, stats != nullptr ? &delta_stats : nullptr, /*top_k=*/0);
+      sketches, stats != nullptr ? &delta_stats : nullptr, /*top_k=*/0);
   uint64_t ghosts = 0;
-  std::vector<std::vector<QueryMatch>> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
+  std::vector<std::vector<QueryMatch>> results(sketches.size());
+  for (size_t i = 0; i < sketches.size(); ++i) {
     results[i] = im.MergeSegments(base_results[i], delta_results[i],
                                   stats != nullptr ? &ghosts : nullptr);
     if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);

@@ -19,7 +19,12 @@
 //   Query()    fans out over {frozen base, delta}, maps each segment's
 //              physical rows to stable logical ids, drops tombstoned
 //              ids, and merges the per-segment result lists into one
-//              similarity-ordered answer.
+//              similarity-ordered answer. The query is hashed once, into
+//              one QuerySketch (core/query_sketch.h) that both segment
+//              searchers read: the base probes with its banding chunks
+//              and grows the verification chunks it needs, and the delta
+//              reuses them — the segments share one hash family, so a
+//              sketch of either is a sketch of both.
 //   Compact()  folds the live rows of both segments into a new frozen
 //              base (PersistentIndex::Build over the merged corpus),
 //              clears the delta and the tombstone set, and preserves
@@ -185,7 +190,20 @@ class DynamicIndex {
   // return. stats, when given, receives the summed segment stats (see the
   // header comment on read amplification; threads_used is the max over
   // segments). Safe to call concurrently from any number of threads.
+  // Query(q) is Query(Sketch(q)) plus the sketch's banding chunks in
+  // stats->query_gen_chunks.
   std::vector<QueryMatch> Query(const SparseVectorView& q,
+                                QueryStats* stats = nullptr) const;
+
+  // Hashes q into a sketch of the index's hash family — shared by both
+  // segments and stable across compactions (the family is pinned by the
+  // base at construction), so a sketch stays valid for the index's life.
+  QuerySketch Sketch(const SparseVectorView& q) const;
+
+  // Serves a prebuilt sketch (QuerySearcher::Query(QuerySketch&)
+  // contract): the base and then the delta read it, so its verification
+  // chunks are grown at most once across both segments.
+  std::vector<QueryMatch> Query(QuerySketch& sketch,
                                 QueryStats* stats = nullptr) const;
 
   // The k best live matches; merged across segments BEFORE truncation, so
@@ -193,14 +211,21 @@ class DynamicIndex {
   // top k.
   std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
                                     QueryStats* stats = nullptr) const;
+  std::vector<QueryMatch> QueryTopK(QuerySketch& sketch, uint32_t k,
+                                    QueryStats* stats = nullptr) const;
 
   // Batched serving: slot i answers queries[i], each merged across
   // segments exactly as Query() does; top_k != 0 truncates per query
   // after the merge. Results are identical to a serial Query() loop for
-  // any thread count.
+  // any thread count. The queries are sketched in parallel on the base
+  // searcher's pool (QuerySearcher::SketchBatch), and both segments serve
+  // the sketches.
   std::vector<std::vector<QueryMatch>> QueryBatch(
       std::span<const SparseVectorView> queries,
       QueryStats* stats = nullptr, uint32_t top_k = 0) const;
+  std::vector<std::vector<QueryMatch>> QueryBatch(
+      std::vector<QuerySketch>& sketches, QueryStats* stats = nullptr,
+      uint32_t top_k = 0) const;
 
   // Folds the delta and the tombstones into a new frozen base over the
   // live rows (in logical-id order), preserving every logical id, and

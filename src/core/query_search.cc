@@ -1,13 +1,14 @@
 #include "core/query_search.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "candgen/banding_index.h"
@@ -128,8 +129,13 @@ void SortMatches(std::vector<QueryMatch>* out) {
             });
 }
 
-void MergeStats(const QueryStats& from, QueryStats* into) {
-  if (into != nullptr) into->MergeFrom(from);
+// Folds a dataset's full CSR content into a fingerprint.
+uint64_t FoldDataset(uint64_t fp, const Dataset& d) {
+  fp = Mix64(fp, d.num_vectors(), d.num_dims());
+  for (const uint64_t p : d.indptr()) fp = Mix64(fp, p);
+  for (const DimId i : d.indices()) fp = Mix64(fp, i);
+  for (const float v : d.values()) fp = Mix64(fp, std::bit_cast<uint32_t>(v));
+  return fp;
 }
 
 // Grows every row to `ensure`'s target, sharded over rows; returns the
@@ -156,27 +162,14 @@ struct QuerySearcher::Impl {
   // sim/similarity.h).
   double score_threshold = 0.0;
 
-  // Hash families, as polymorphic chunk hashers: the generation
-  // (banding-seed) family feeds the banding build, query probes, and
-  // incremental inserts; the verification family lives inside the engaged
-  // store (bits->hasher() / ints->hasher()). Exactly one of the bit/int
-  // gen hashers is engaged, matching the store. The concrete sources they
-  // wrap are owned alongside (Gaussians for SRP, the kernel + anchors for
-  // KLSH); verify_minhash backs the b-bit query packing path only.
-  std::shared_ptr<const GaussianSource> gen_gauss;
-  std::shared_ptr<const GaussianSource> verify_gauss;
-  std::optional<MinwiseHasher> verify_minhash;
-  std::shared_ptr<const WordChunkHasher> gen_bits_hasher;
-  std::shared_ptr<const IntChunkHasher> gen_ints_hasher;
-
-  // Kernel-cosine context: one kernel object, generation/verification KLSH
-  // hashers over the SAME anchor set (seeds differ, anchors must not — see
-  // QuerySearchConfig::klsh_anchors), and the row cache both streams share
-  // (anchor kernel rows are seed-independent).
-  std::unique_ptr<const Kernel> kernel;
-  std::shared_ptr<const KlshHasher> gen_klsh;
-  std::shared_ptr<const KlshHasher> verify_klsh;
-  std::shared_ptr<KlshRowCache> klsh_cache;
+  // The hash families (core/query_sketch.h): the generation
+  // (banding-seed) family feeds the banding build, incremental inserts and
+  // every sketch's banding chunks; the verification family hashes the
+  // engaged store's rows and every sketch's verification chunks. Every
+  // sketch this searcher makes shares it (and keeps it alive). For KLSH
+  // both families hash over the SAME anchor set (seeds differ, anchors
+  // must not — see QuerySearchConfig::klsh_anchors).
+  std::shared_ptr<const SketchFamily> family;
 
   // Collection stores (exactly one engaged, per measure/bbit). The stores
   // are the explicitly `mutable`, internally synchronized serving state
@@ -218,13 +211,55 @@ struct QuerySearcher::Impl {
     return cfg.exact_verification ? lite_h : bayes.max_hashes;
   }
 
-  // Resolves parameters, models, cache pools, hashers, empty stores and
-  // the worker pool — everything except the banding buckets, which the two
-  // constructors provide differently.
+  // Resolves parameters, models, cache pools, the hash families, empty
+  // stores and the worker pool — everything except the banding buckets,
+  // which the two constructors provide differently.
   void Init(const Dataset* d, const QuerySearchConfig& config);
 
-  // Candidate ids from the buckets the query falls into (sorted, unique).
-  std::vector<uint32_t> CollectCandidates(const SparseVectorView& q) const;
+  // Fails closed on a sketch this searcher's families did not hash.
+  void CheckFamily(const QuerySketch& sketch) const {
+    if (sketch.fingerprint() != family->fingerprint) {
+      throw std::invalid_argument(
+          "QuerySearcher: the query sketch was hashed by another hash "
+          "family (measure, seed, banding shape, bbit or KLSH kernel / "
+          "anchors differ)");
+    }
+  }
+
+  // Candidate ids from the buckets the sketch's banding keys fall into
+  // (sorted, unique).
+  std::vector<uint32_t> CollectCandidates(const QuerySketch& sketch) const;
+
+  // Runs serve_one(worker, i) for every query index i < n: sharded over
+  // queries with exclusive use of the pool, or inline without one.
+  // Workers must write only their own slots, so the merged output is
+  // deterministic for any thread count.
+  template <typename ServeOne>
+  void RunOverQueries(uint64_t n, const ServeOne& serve_one) const {
+    if (pool == nullptr) {
+      for (uint64_t i = 0; i < n; ++i) serve_one(0u, i);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool->RunShards(n, [&](uint32_t s, uint64_t b, uint64_t e) {
+      for (uint64_t i = b; i < e; ++i) serve_one(s, i);
+    });
+  }
+
+  // Leases n inference caches of the engaged posterior model and runs
+  // fn(lease) — the one dispatch from measure to model.
+  template <typename Fn>
+  void WithCaches(uint32_t n, const Fn& fn) const {
+    if (cos_model.has_value()) {
+      fn(CacheLease<CosinePosterior>(&cos_pool, n));
+    } else if (bbit_model.has_value()) {
+      fn(CacheLease<BbitMinwisePosterior>(&bbit_pool, n));
+    } else if (euc_model.has_value()) {
+      fn(CacheLease<EuclideanPosterior>(&euc_pool, n));
+    } else {
+      fn(CacheLease<JaccardPosterior>(&jac_pool, n));
+    }
+  }
 
   // Exact score of collection row vs the query on the measure's score axis
   // (negated distance for Euclidean; compare against score_threshold).
@@ -240,44 +275,23 @@ struct QuerySearcher::Impl {
       case Measure::kWeightedJaccard:
         return WeightedJaccardSimilarity(x, q);
       case Measure::kKernelCosine:
-        return KernelCosine(*kernel, x, q);
+        return KernelCosine(*family->kernel, x, q);
       case Measure::kEuclidean:
         return -SparseEuclideanDistance(x, q);
     }
     return 0.0;
   }
 
-  // One query's hash stream over the engaged bit store: chunk index -> 64
-  // packed bits, from the generation or verification family. For KLSH the
-  // anchor kernel row is computed once here and reused by every chunk (the
-  // chunk hasher's external-vector fallback would redo the p kernel
-  // evaluations per chunk).
-  std::function<uint64_t(uint32_t)> QueryBitChunks(const SparseVectorView& q,
-                                                   bool generation) const {
-    if (cfg.measure == Measure::kKernelCosine) {
-      const KlshHasher* h = generation ? gen_klsh.get() : verify_klsh.get();
-      auto krow = std::make_shared<const std::vector<double>>(
-          h->AnchorKernelRow(q));
-      return [h, krow = std::move(krow)](uint32_t chunk) {
-        return h->HashChunk(*krow, chunk);
-      };
-    }
-    const WordChunkHasher* h =
-        generation ? gen_bits_hasher.get() : &bits->hasher();
-    return [h, q](uint32_t chunk) {
-      return h->HashChunk(q, kNoStoreRow, chunk);
-    };
-  }
-
-  // Int-store counterpart: writes the family's chunk_ints() values per
-  // chunk (16 minwise/ICWS, 64 p-stable).
-  std::function<void(uint32_t, uint32_t*)> QueryIntChunks(
-      const SparseVectorView& q, bool generation) const {
-    const IntChunkHasher* h =
-        generation ? gen_ints_hasher.get() : &ints->hasher();
-    return [h, q](uint32_t chunk, uint32_t* out) {
-      h->HashChunk(q, kNoStoreRow, chunk, out);
-    };
+  // Similarity reported for a candidate whose budget ran out without a
+  // concentrated estimate: the forced accept of Algorithm 1, the MAP
+  // estimate at (m, n). (Unreachable for Euclidean — exact verification is
+  // forced — but the dispatch stays total: the MAP distance, negated.)
+  double ForcedEstimate(uint32_t m, uint32_t n) const {
+    const int mi = static_cast<int>(m), ni = static_cast<int>(n);
+    if (cos_model.has_value()) return cos_model->Estimate(mi, ni);
+    if (bbit_model.has_value()) return bbit_model->Estimate(mi, ni);
+    if (euc_model.has_value()) return -euc_model->Estimate(mi, ni);
+    return jac_model->Estimate(mi, ni);
   }
 
   // --- verification of one candidate against the current query ---
@@ -316,19 +330,7 @@ struct QuerySearcher::Impl {
       }
       return false;
     }
-    // Estimation mode, budget exhausted: forced accept (cf. Algorithm 1).
-    // (Unreachable for Euclidean — exact verification is forced — but the
-    // dispatch stays total: the MAP distance estimate, negated.)
-    const int mi = static_cast<int>(m), ni = static_cast<int>(n);
-    if (CosineLike(cfg.measure)) {
-      *sim = cos_model->Estimate(mi, ni);
-    } else if (bbit_model.has_value()) {
-      *sim = bbit_model->Estimate(mi, ni);
-    } else if (euc_model.has_value()) {
-      *sim = -euc_model->Estimate(mi, ni);
-    } else {
-      *sim = jac_model->Estimate(mi, ni);
-    }
+    *sim = ForcedEstimate(m, n);
     return true;
   }
 
@@ -424,17 +426,7 @@ struct QuerySearcher::Impl {
           }
           continue;
         }
-        // Forced accept (cf. Algorithm 1), as in VerifyCandidate.
-        const int mi = static_cast<int>(s.m), ni = static_cast<int>(n);
-        if (CosineLike(cfg.measure)) {
-          s.sim = cos_model->Estimate(mi, ni);
-        } else if (bbit_model.has_value()) {
-          s.sim = bbit_model->Estimate(mi, ni);
-        } else if (euc_model.has_value()) {
-          s.sim = -euc_model->Estimate(mi, ni);
-        } else {
-          s.sim = jac_model->Estimate(mi, ni);
-        }
+        s.sim = ForcedEstimate(s.m, n);  // As in VerifyCandidate.
         s.accepted = true;
       }
       for (const auto& s : slots) {
@@ -443,117 +435,55 @@ struct QuerySearcher::Impl {
     }
   }
 
-  // --- serial verification paths (one per store kind) ---
+  // --- serial verification (one query on the calling thread) ---
   // Used by the serial Query() fallback and by QueryBatch workers. Safe
-  // for concurrent callers: every row access goes through the store's
-  // MatchAgainstQuery (lock-free once frozen). posterior_batch != 1 routes
-  // through VerifyBlocked above; 1 keeps the per-candidate loop.
-  // Bit-store serial verification (SRP cosine, binary cosine, KLSH — all
-  // through the cosine posterior).
-  void VerifyBitsSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates,
-                        InferenceCache<CosinePosterior>& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/false);
-    std::vector<uint64_t> qbits;
-    auto hash_query_to = [&](uint32_t n_bits) {
-      while (qbits.size() < WordsForBits(n_bits)) {
-        qbits.push_back(hash_chunk(static_cast<uint32_t>(qbits.size())));
-      }
-    };
+  // for concurrent callers with distinct sketches: every row access goes
+  // through the store's MatchAgainstQuery (lock-free once frozen).
+  // posterior_batch != 1 routes through VerifyBlocked above; 1 keeps the
+  // per-candidate loop. `hash_to(n)` grows the sketch's verification
+  // hashes to n and returns them in the store's layout.
+  template <typename Store, typename HashTo, typename Cache>
+  void VerifyAgainst(Store& store, const HashTo& hash_to,
+                     const SparseVectorView& q,
+                     std::span<const uint32_t> candidates, Cache& cache,
+                     QueryStats* stats, std::vector<QueryMatch>* out) const {
+    decltype(hash_to(0u)) qh = nullptr;
+    auto ensure_query = [&](uint32_t n) { qh = hash_to(n); };
     auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return bits->MatchAgainstQuery(row, qbits.data(), from, to);
+      return store.MatchAgainstQuery(row, qh, from, to);
     };
     if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
+      VerifyBlocked(q, candidates, ensure_query, match_range, cache, stats,
                     out);
       return;
     }
     for (uint32_t row : candidates) {
       double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
+      if (VerifyCandidate(row, q, ensure_query, match_range, cache, stats,
                           &sim)) {
         out->push_back({row, sim});
       }
     }
   }
 
-  // Int-store serial verification (minwise Jaccard, ICWS weighted Jaccard,
-  // p-stable Euclidean). Cache is the leased inference cache of whichever
-  // posterior model the measure verifies through.
-  template <typename Cache>
-  void VerifyIntsSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates, Cache& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const uint32_t chunk_ints = ints->hasher().chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/false);
-    std::vector<uint32_t> qints;
-    auto hash_query_to = [&](uint32_t n_hashes) {
-      while (qints.size() < n_hashes) {
-        const auto chunk = static_cast<uint32_t>(qints.size()) / chunk_ints;
-        qints.resize(qints.size() + chunk_ints);
-        hash_chunk(chunk, qints.data() + chunk * chunk_ints);
-      }
-    };
-    auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return ints->MatchAgainstQuery(row, qints.data(), from, to);
-    };
-    if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
+  // The store behind each posterior model: bits for the cosine posterior
+  // (SRP cosine, binary cosine, KLSH), packed b-bit groups for the b-bit
+  // posterior, ints otherwise (minwise Jaccard, ICWS, p-stable).
+  template <typename Model>
+  void VerifySerial(QuerySketch& sketch, std::span<const uint32_t> candidates,
+                    InferenceCache<Model>& cache, QueryStats* stats,
+                    std::vector<QueryMatch>* out) const {
+    const auto words = [&](uint32_t n) { return sketch.VerifyWords(n); };
+    if constexpr (std::is_same_v<Model, CosinePosterior>) {
+      VerifyAgainst(*bits, words, sketch.query(), candidates, cache, stats,
                     out);
-      return;
-    }
-    for (uint32_t row : candidates) {
-      double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
-                          &sim)) {
-        out->push_back({row, sim});
-      }
-    }
-  }
-
-  // b-bit minwise verification: hash the query with the full-width minwise
-  // hasher, pack the low b bits into the store's group layout, and compare
-  // word-parallel against the collection rows.
-  void VerifyBbitSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates,
-                        InferenceCache<BbitMinwisePosterior>& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const uint32_t b = bbits->bits_per_hash();
-    const uint32_t values_per_word = 64 / b;
-    std::vector<uint32_t> qints;
-    std::vector<uint64_t> qwords;
-    auto hash_query_to = [&](uint32_t n_hashes) {
-      const uint32_t have = static_cast<uint32_t>(qints.size());
-      if (n_hashes <= have) return;
-      const uint32_t want = (n_hashes + kMinhashChunkInts - 1) /
-                            kMinhashChunkInts * kMinhashChunkInts;
-      qints.resize(want);
-      for (uint32_t c = have / kMinhashChunkInts; c < want / kMinhashChunkInts;
-           ++c) {
-        verify_minhash->HashChunk(q, c,
-                                  qints.data() + c * kMinhashChunkInts);
-      }
-      qwords.resize((want + values_per_word - 1) / values_per_word, 0);
-      PackBbitValues(qints.data() + have, have, want, b, qwords.data());
-    };
-    auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return bbits->MatchAgainstQuery(row, qwords.data(), from, to);
-    };
-    if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
+    } else if constexpr (std::is_same_v<Model, BbitMinwisePosterior>) {
+      VerifyAgainst(*bbits, words, sketch.query(), candidates, cache, stats,
                     out);
-      return;
-    }
-    for (uint32_t row : candidates) {
-      double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
-                          &sim)) {
-        out->push_back({row, sim});
-      }
+    } else {
+      VerifyAgainst(
+          *ints, [&](uint32_t n) { return sketch.VerifyInts(n); },
+          sketch.query(), candidates, cache, stats, out);
     }
   }
 
@@ -565,18 +495,30 @@ struct QuerySearcher::Impl {
   // sort makes the output independent of the thread count. On a frozen
   // store the whole path is read-only: the growth lock is a no-op, the
   // prefetch is skipped, and overflow shards never materialize rows.
-  void VerifyBitsSharded(const SparseVectorView& q,
+  // b-bit verification has no overflow-shard protocol: Query never
+  // shards it, and the dispatch below falls back to the serial loop.
+  template <typename Model>
+  void VerifySharded(QuerySketch& sketch, std::span<const uint32_t> candidates,
+                     const CacheLease<Model>& caches, QueryStats* stats,
+                     std::vector<QueryMatch>* out) const {
+    if constexpr (std::is_same_v<Model, CosinePosterior>) {
+      VerifyBitsSharded(sketch, candidates, caches, stats, out);
+    } else if constexpr (std::is_same_v<Model, BbitMinwisePosterior>) {
+      VerifySerial(sketch, candidates, caches[0], stats, out);
+    } else {
+      VerifyIntsSharded(sketch, candidates, caches, stats, out);
+    }
+  }
+
+  void VerifyBitsSharded(QuerySketch& sketch,
                          std::span<const uint32_t> candidates,
                          const CacheLease<CosinePosterior>& caches,
                          QueryStats* stats,
                          std::vector<QueryMatch>* out) const {
     ThreadPool* p = pool.get();
     const uint32_t kk = bayes.hashes_per_round;
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/false);
-    std::vector<uint64_t> qbits(WordsForBits(ServeBudget()));
-    for (uint32_t c = 0; c < qbits.size(); ++c) {
-      qbits[c] = hash_chunk(c);
-    }
+    const SparseVectorView q = sketch.query();
+    const uint64_t* qbits = sketch.VerifyWords(ServeBudget());
 
     auto growth_lock = bits->GrowthLock();
     if (!bits->frozen()) {
@@ -606,8 +548,7 @@ struct QuerySearcher::Impl {
       BitOverflowShard& overflow = sh.overflow.emplace(&*bits);
       auto no_ensure = [](uint32_t) {};
       auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-        return MatchingBits(qbits.data(), overflow.RowWords(row, to), from,
-                            to);
+        return MatchingBits(qbits, overflow.RowWords(row, to), from, to);
       };
       for (uint64_t i = begin; i < end; ++i) {
         double sim = 0.0;
@@ -635,19 +576,15 @@ struct QuerySearcher::Impl {
   }
 
   template <typename Model>
-  void VerifyIntsSharded(const SparseVectorView& q,
+  void VerifyIntsSharded(QuerySketch& sketch,
                          std::span<const uint32_t> candidates,
                          const CacheLease<Model>& caches, QueryStats* stats,
                          std::vector<QueryMatch>* out) const {
     ThreadPool* p = pool.get();
     const uint32_t kk = bayes.hashes_per_round;
     const uint32_t chunk_ints = ints->hasher().chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/false);
-    const uint32_t chunks = (ServeBudget() + chunk_ints - 1) / chunk_ints;
-    std::vector<uint32_t> qints(chunks * chunk_ints);
-    for (uint32_t c = 0; c < chunks; ++c) {
-      hash_chunk(c, qints.data() + c * chunk_ints);
-    }
+    const SparseVectorView q = sketch.query();
+    const uint32_t* qints = sketch.VerifyInts(ServeBudget());
 
     auto growth_lock = ints->GrowthLock();
     if (!ints->frozen()) {
@@ -745,8 +682,8 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   lite_h -= lite_h % bayes.hashes_per_round;
   if (lite_h == 0) lite_h = bayes.hashes_per_round;
 
-  // Banding shape (the warm-start constructor overrides it with the
-  // index's recorded shape).
+  // Banding shape (the warm-start constructor passes the index's recorded
+  // shape explicitly).
   const BandingShape shape =
       ResolveBandingShape(config.measure, config.threshold, config.banding);
   k = shape.hashes_per_band;
@@ -759,6 +696,13 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   const uint32_t cache_budget = ServeBudget();
 
+  auto fam = std::make_shared<SketchFamily>();
+  fam->num_bands = l;
+  fam->hashes_per_band = k;
+  fam->bbit = config.bbit;
+  uint64_t fp = Mix64(static_cast<uint64_t>(config.measure), config.seed);
+  fp = Mix64(fp, Mix64(l, k), config.bbit);
+
   // Models, cache pools, hash families and the matching empty store —
   // one arm per measure (plus the Jaccard bbit split).
   switch (config.measure) {
@@ -767,20 +711,24 @@ void QuerySearcher::Impl::Init(const Dataset* d,
       cos_model.emplace(config.threshold);
       cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
                          bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_gauss = std::make_shared<ImplicitGaussianSource>(gen_seed);
-      verify_gauss = std::make_shared<ImplicitGaussianSource>(verify_seed);
-      gen_bits_hasher =
-          std::make_shared<SrpChunkHasher>(SrpHasher(gen_gauss.get()));
-      bits.emplace(d, std::make_shared<SrpChunkHasher>(
-                          SrpHasher(verify_gauss.get())));
+      fam->gen_gauss = std::make_shared<ImplicitGaussianSource>(gen_seed);
+      fam->verify_gauss =
+          std::make_shared<ImplicitGaussianSource>(verify_seed);
+      fam->gen_bits = std::make_shared<SrpChunkHasher>(
+          SrpHasher(fam->gen_gauss.get()));
+      fam->verify_bits = std::make_shared<SrpChunkHasher>(
+          SrpHasher(fam->verify_gauss.get()));
+      bits.emplace(d, fam->verify_bits);
       break;
     }
     case Measure::kKernelCosine: {
       cos_model.emplace(config.threshold);
       cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
                          bayes.epsilon, bayes.delta, bayes.gamma);
-      kernel = MakeKernel(config.kernel);
-      klsh_cache = std::make_shared<KlshRowCache>();
+      fam->kernel = MakeKernel(config.kernel);
+      // The row cache both streams share (anchor kernel rows are
+      // seed-independent).
+      auto klsh_cache = std::make_shared<KlshRowCache>();
       // Both hash streams see the SAME anchors (sampled once with the
       // master seed — never the derived stream seeds — so every serving
       // component agrees); only kp.seed differs between the streams.
@@ -791,40 +739,43 @@ void QuerySearcher::Impl::Init(const Dataset* d,
               : SampleKlshAnchors(
                     *d, std::min(kp.num_anchors, d->num_vectors()),
                     config.seed);
+      fp = Mix64(fp, static_cast<uint64_t>(config.kernel.tag),
+                 std::bit_cast<uint64_t>(config.kernel.gamma));
+      fp = Mix64(fp, kp.subset_size, static_cast<uint64_t>(kp.direction));
+      fp = FoldDataset(fp, gen_anchors);
       Dataset verify_anchors = gen_anchors;
       kp.seed = gen_seed;
-      gen_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
-          KlshHasher::FromAnchors(std::move(gen_anchors), kernel.get(),
+      fam->gen_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
+          KlshHasher::FromAnchors(std::move(gen_anchors), fam->kernel.get(),
                                   kp)));
       kp.seed = verify_seed;
-      verify_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
-          KlshHasher::FromAnchors(std::move(verify_anchors), kernel.get(),
-                                  kp)));
-      gen_bits_hasher =
-          std::make_shared<KlshChunkHasher>(gen_klsh, klsh_cache, d);
-      bits.emplace(d, std::make_shared<KlshChunkHasher>(verify_klsh,
-                                                        klsh_cache, d));
+      fam->verify_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
+          KlshHasher::FromAnchors(std::move(verify_anchors),
+                                  fam->kernel.get(), kp)));
+      fam->gen_bits =
+          std::make_shared<KlshChunkHasher>(fam->gen_klsh, klsh_cache, d);
+      fam->verify_bits =
+          std::make_shared<KlshChunkHasher>(fam->verify_klsh, klsh_cache, d);
+      bits.emplace(d, fam->verify_bits);
       break;
     }
     case Measure::kJaccard: {
+      fam->gen_ints =
+          std::make_shared<MinwiseChunkHasher>(MinwiseHasher(gen_seed));
+      fam->verify_ints =
+          std::make_shared<MinwiseChunkHasher>(MinwiseHasher(verify_seed));
       if (config.bbit != 0) {
         bbit_model.emplace(config.threshold, config.bbit);
         bbit_pool.Configure(&*bbit_model, bayes.hashes_per_round,
                             cache_budget, bayes.epsilon, bayes.delta,
                             bayes.gamma);
-        gen_ints_hasher = std::make_shared<MinwiseChunkHasher>(
-            MinwiseHasher(gen_seed));
-        verify_minhash.emplace(verify_seed);
         bbits.emplace(d, MinwiseHasher(verify_seed), config.bbit);
         break;
       }
       jac_model.emplace(config.threshold);  // Uniform prior in query mode.
       jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
                          bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher =
-          std::make_shared<MinwiseChunkHasher>(MinwiseHasher(gen_seed));
-      ints.emplace(d, std::make_shared<MinwiseChunkHasher>(
-                          MinwiseHasher(verify_seed)));
+      ints.emplace(d, fam->verify_ints);
       break;
     }
     case Measure::kWeightedJaccard: {
@@ -833,10 +784,11 @@ void QuerySearcher::Impl::Init(const Dataset* d,
       jac_model.emplace(config.threshold);
       jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
                          bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher =
+      fam->gen_ints =
           std::make_shared<IcwsChunkHasher>(IcwsHasher(gen_seed));
-      ints.emplace(d, std::make_shared<IcwsChunkHasher>(
-                          IcwsHasher(verify_seed)));
+      fam->verify_ints =
+          std::make_shared<IcwsChunkHasher>(IcwsHasher(verify_seed));
+      ints.emplace(d, fam->verify_ints);
       break;
     }
     case Measure::kEuclidean: {
@@ -844,50 +796,38 @@ void QuerySearcher::Impl::Init(const Dataset* d,
       // ResolveBandingShape assumed above, making the collision
       // probability at the radius a scale-free constant.
       const double width = 2.0 * config.threshold;
+      fp = Mix64(fp, std::bit_cast<uint64_t>(width));
       euc_model.emplace(
           EuclideanPosterior::MakeForRadius(config.threshold, width));
       euc_pool.Configure(&*euc_model, bayes.hashes_per_round, cache_budget,
                          bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher = std::make_shared<PstableChunkHasher>(
+      fam->gen_ints = std::make_shared<PstableChunkHasher>(
           PstableHasher(gen_seed, width));
-      ints.emplace(d, std::make_shared<PstableChunkHasher>(
-                          PstableHasher(verify_seed, width)));
+      fam->verify_ints = std::make_shared<PstableChunkHasher>(
+          PstableHasher(verify_seed, width));
+      ints.emplace(d, fam->verify_ints);
       break;
     }
   }
+  fam->fingerprint = fp;
+  family = std::move(fam);
 }
 
 std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
-    const SparseVectorView& q) const {
+    const QuerySketch& sketch) const {
+  const std::vector<uint64_t>& words = sketch.gen_words();
+  const std::vector<uint32_t>& hashes = sketch.gen_ints();
+  const bool bit_keys = family->gen_bits != nullptr;
   std::vector<uint32_t> candidates;
-  if (gen_bits_hasher != nullptr) {
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/true);
-    std::vector<uint64_t> qwords(WordsForBits(l * k));
-    for (uint32_t c = 0; c < qwords.size(); ++c) {
-      qwords[c] = hash_chunk(c);
-    }
-    for (uint32_t band = 0; band < l; ++band) {
-      const auto* bucket = banding->Find(
-          band, BandingIndex::CosineKey(
-                    qwords.data(), static_cast<uint32_t>(qwords.size()), band,
-                    k));
-      if (bucket == nullptr) continue;
-      candidates.insert(candidates.end(), bucket->begin(), bucket->end());
-    }
-  } else {
-    const uint32_t chunk_ints = gen_ints_hasher->chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/true);
-    const uint32_t chunks = (l * k + chunk_ints - 1) / chunk_ints;
-    std::vector<uint32_t> qints(chunks * chunk_ints);
-    for (uint32_t c = 0; c < chunks; ++c) {
-      hash_chunk(c, qints.data() + c * chunk_ints);
-    }
-    for (uint32_t band = 0; band < l; ++band) {
-      const auto* bucket = banding->Find(
-          band, BandingIndex::JaccardKey(qints.data(), band, k));
-      if (bucket == nullptr) continue;
-      candidates.insert(candidates.end(), bucket->begin(), bucket->end());
-    }
+  for (uint32_t band = 0; band < l; ++band) {
+    const uint64_t key =
+        bit_keys ? BandingIndex::CosineKey(
+                       words.data(), static_cast<uint32_t>(words.size()),
+                       band, k)
+                 : BandingIndex::JaccardKey(hashes.data(), band, k);
+    const auto* bucket = banding->Find(band, key);
+    if (bucket == nullptr) continue;
+    candidates.insert(candidates.end(), bucket->begin(), bucket->end());
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -905,12 +845,12 @@ QuerySearcher::QuerySearcher(const Dataset* data,
   // hash family (a separate, throwaway store: banding hashes are not
   // reused for verification; see DESIGN.md §6). Deterministic for any
   // thread count — see candgen/banding_index.h.
-  if (im.gen_bits_hasher != nullptr) {
+  if (im.family->gen_bits != nullptr) {
     im.banding_storage = BandingIndex::BuildBits(
-        *data, im.gen_bits_hasher, im.k, im.l, im.pool.get());
+        *data, im.family->gen_bits, im.k, im.l, im.pool.get());
   } else {
     im.banding_storage = BandingIndex::BuildInts(
-        *data, im.gen_ints_hasher, im.k, im.l, im.pool.get());
+        *data, im.family->gen_ints, im.k, im.l, im.pool.get());
   }
   im.banding = &im.banding_storage;
   num_bands_ = im.l;
@@ -942,21 +882,21 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   }
 
   Impl& im = *impl_;
-  // The KLSH hash family is defined by the anchors the index was built
-  // with — adopt the index's kernel spec, family shape and anchor rows so
-  // warm-served signatures agree bit-for-bit with the loaded store.
+  // Serve from the index's recorded banding shape. The KLSH hash family is
+  // defined by the anchors the index was built with — adopt the index's
+  // kernel spec, family shape and anchor rows so warm-served signatures
+  // agree bit-for-bit with the loaded store.
   QuerySearchConfig cfg2 = config;
+  cfg2.banding.hashes_per_band = index->hashes_per_band();
+  cfg2.banding.num_bands = index->num_bands();
   if (index->measure() == Measure::kKernelCosine) {
     cfg2.kernel = index->kernel_spec();
     cfg2.klsh = index->klsh_params();
     cfg2.klsh_anchors = index->klsh_anchors();
   }
   im.Init(&index->data(), cfg2);
-  // Serve from the index's recorded shape and buckets; adopt its
-  // prefetched verification signatures (copies — many searchers can share
-  // one loaded index).
-  im.k = index->hashes_per_band();
-  im.l = index->num_bands();
+  // Serve from the index's buckets; adopt its prefetched verification
+  // signatures (copies — many searchers can share one loaded index).
   im.banding = &index->banding();
   if (im.bits.has_value() && index->bit_store() != nullptr) {
     im.bits->CopyRowsFrom(*index->bit_store());
@@ -1022,12 +962,12 @@ void QuerySearcher::SyncAppendedRows() {
     } else {
       im.bbits->AppendRow();
     }
-    if (im.gen_bits_hasher != nullptr) {
+    if (im.family->gen_bits != nullptr) {
       im.banding_storage.InsertBits(im.data->Row(row), row,
-                                    *im.gen_bits_hasher);
+                                    *im.family->gen_bits);
     } else {
       im.banding_storage.InsertInts(im.data->Row(row), row,
-                                    *im.gen_ints_hasher);
+                                    *im.family->gen_ints);
     }
   }
 }
@@ -1051,18 +991,42 @@ uint64_t QuerySearcher::hashes_computed() const {
   return 0;
 }
 
+QuerySketch QuerySearcher::Sketch(const SparseVectorView& q) const {
+  return QuerySketch(impl_->family, q);
+}
+
+std::vector<QuerySketch> QuerySearcher::SketchBatch(
+    std::span<const SparseVectorView> queries) const {
+  const Impl& im = *impl_;
+  std::vector<QuerySketch> sketches(queries.size());
+  im.RunOverQueries(queries.size(), [&](uint32_t, uint64_t i) {
+    sketches[i] = QuerySketch(im.family, queries[i]);
+  });
+  return sketches;
+}
+
 std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
                                              QueryStats* stats) const {
+  QuerySketch sketch = Sketch(q);
+  std::vector<QueryMatch> out = Query(sketch, stats);
+  if (stats != nullptr) stats->query_gen_chunks = sketch.gen_chunks();
+  return out;
+}
+
+std::vector<QueryMatch> QuerySearcher::Query(QuerySketch& sketch,
+                                             QueryStats* stats) const {
   Impl& im = *impl_;
+  im.CheckFamily(sketch);
   // threads_used starts at the serial answer; only the sharded branch
   // below overwrites it — so a busy-pool try-lock fallback reports the
   // truth, not the configured thread count.
   if (stats != nullptr) *stats = QueryStats{.threads_used = 1};
   std::vector<QueryMatch> out;
-  if (q.empty()) return out;
+  if (sketch.query().empty()) return out;
+  const uint32_t verify_before = sketch.verify_chunks();
 
   // 1. Collect candidates from the buckets the query falls into.
-  const std::vector<uint32_t> candidates = im.CollectCandidates(q);
+  const std::vector<uint32_t> candidates = im.CollectCandidates(sketch);
   if (stats != nullptr) stats->candidates = candidates.size();
 
   // 2. Verify each candidate with incremental Bayesian pruning, using
@@ -1080,31 +1044,16 @@ std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
   std::unique_lock<std::mutex> pool_lock(im.pool_mu_, std::defer_lock);
   if (want_sharded && pool_lock.try_lock()) {
     if (stats != nullptr) stats->threads_used = pool->num_threads();
-    if (im.bits.has_value()) {
-      const CacheLease<CosinePosterior> caches(&im.cos_pool,
-                                               pool->num_threads());
-      im.VerifyBitsSharded(q, candidates, caches, stats, &out);
-    } else if (im.euc_model.has_value()) {
-      const CacheLease<EuclideanPosterior> caches(&im.euc_pool,
-                                                  pool->num_threads());
-      im.VerifyIntsSharded(q, candidates, caches, stats, &out);
-    } else {
-      const CacheLease<JaccardPosterior> caches(&im.jac_pool,
-                                                pool->num_threads());
-      im.VerifyIntsSharded(q, candidates, caches, stats, &out);
-    }
-  } else if (im.bits.has_value()) {
-    const CacheLease<CosinePosterior> cache(&im.cos_pool, 1);
-    im.VerifyBitsSerial(q, candidates, cache[0], stats, &out);
-  } else if (im.bbits.has_value()) {
-    const CacheLease<BbitMinwisePosterior> cache(&im.bbit_pool, 1);
-    im.VerifyBbitSerial(q, candidates, cache[0], stats, &out);
-  } else if (im.euc_model.has_value()) {
-    const CacheLease<EuclideanPosterior> cache(&im.euc_pool, 1);
-    im.VerifyIntsSerial(q, candidates, cache[0], stats, &out);
+    im.WithCaches(pool->num_threads(), [&](const auto& caches) {
+      im.VerifySharded(sketch, candidates, caches, stats, &out);
+    });
   } else {
-    const CacheLease<JaccardPosterior> cache(&im.jac_pool, 1);
-    im.VerifyIntsSerial(q, candidates, cache[0], stats, &out);
+    im.WithCaches(1, [&](const auto& caches) {
+      im.VerifySerial(sketch, candidates, caches[0], stats, &out);
+    });
+  }
+  if (stats != nullptr) {
+    stats->query_verify_chunks = sketch.verify_chunks() - verify_before;
   }
 
   SortMatches(&out);
@@ -1114,10 +1063,25 @@ std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
 std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
     std::span<const SparseVectorView> queries, QueryStats* stats,
     uint32_t top_k) const {
+  std::vector<QuerySketch> sketches = SketchBatch(queries);
+  std::vector<std::vector<QueryMatch>> results =
+      QueryBatch(sketches, stats, top_k);
+  if (stats != nullptr) {
+    for (const QuerySketch& s : sketches) {
+      stats->query_gen_chunks += s.gen_chunks();
+    }
+  }
+  return results;
+}
+
+std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
+    std::vector<QuerySketch>& sketches, QueryStats* stats,
+    uint32_t top_k) const {
   Impl& im = *impl_;
+  for (const QuerySketch& s : sketches) im.CheckFamily(s);
   if (stats != nullptr) *stats = QueryStats{.threads_used = 1};
-  std::vector<std::vector<QueryMatch>> results(queries.size());
-  if (queries.empty()) return results;
+  std::vector<std::vector<QueryMatch>> results(sketches.size());
+  if (sketches.empty()) return results;
 
   ThreadPool* pool = im.pool.get();
   const uint32_t workers = pool != nullptr ? pool->num_threads() : 1;
@@ -1127,71 +1091,24 @@ std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
   if (stats != nullptr) stats->threads_used = workers;
   std::vector<QueryStats> worker_stats(workers);
 
-  // Runs serve_one(worker, i) for every query index i: sharded over
-  // queries with exclusive use of the pool, or inline without one.
-  // Workers write only their own slots of `results`/`worker_stats`, so
-  // the merged output is deterministic for any thread count.
-  auto run = [&](const auto& serve_one) {
-    if (pool == nullptr) {
-      for (uint64_t i = 0; i < queries.size(); ++i) serve_one(0u, i);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(im.pool_mu_);
-    pool->RunShards(queries.size(), [&](uint32_t s, uint64_t b, uint64_t e) {
-      for (uint64_t i = b; i < e; ++i) serve_one(s, i);
-    });
-  };
-
-  auto finish_query = [&](uint32_t w, uint64_t i, const QueryStats& qs) {
-    SortMatches(&results[i]);
-    if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
-    MergeStats(qs, &worker_stats[w]);
-  };
-
-  if (im.bits.has_value()) {
-    const CacheLease<CosinePosterior> caches(&im.cos_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
+  im.WithCaches(workers, [&](const auto& caches) {
+    im.RunOverQueries(sketches.size(), [&](uint32_t w, uint64_t i) {
+      QuerySketch& sketch = sketches[i];
+      if (sketch.query().empty()) return;
       QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
+      const uint32_t verify_before = sketch.verify_chunks();
+      const std::vector<uint32_t> cand = im.CollectCandidates(sketch);
       qs.candidates = cand.size();
-      im.VerifyBitsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
+      im.VerifySerial(sketch, cand, caches[w], &qs, &results[i]);
+      qs.query_verify_chunks = sketch.verify_chunks() - verify_before;
+      SortMatches(&results[i]);
+      if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
+      worker_stats[w].MergeFrom(qs);
     });
-  } else if (im.bbits.has_value()) {
-    const CacheLease<BbitMinwisePosterior> caches(&im.bbit_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyBbitSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  } else if (im.euc_model.has_value()) {
-    const CacheLease<EuclideanPosterior> caches(&im.euc_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyIntsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  } else {
-    const CacheLease<JaccardPosterior> caches(&im.jac_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyIntsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  }
+  });
 
   if (stats != nullptr) {
-    for (const QueryStats& ws : worker_stats) MergeStats(ws, stats);
+    for (const QueryStats& ws : worker_stats) stats->MergeFrom(ws);
   }
   return results;
 }
@@ -1200,6 +1117,14 @@ std::vector<QueryMatch> QuerySearcher::QueryTopK(const SparseVectorView& q,
                                                  uint32_t k,
                                                  QueryStats* stats) const {
   std::vector<QueryMatch> all = Query(q, stats);
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+std::vector<QueryMatch> QuerySearcher::QueryTopK(QuerySketch& sketch,
+                                                 uint32_t k,
+                                                 QueryStats* stats) const {
+  std::vector<QueryMatch> all = Query(sketch, stats);
   if (all.size() > k) all.resize(k);
   return all;
 }

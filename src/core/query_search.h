@@ -11,10 +11,22 @@
 // standard adaptation).
 //
 // Queries do not mutate the index and may use vectors not present in the
-// collection. With num_threads > 1 the searcher owns a worker pool: the
-// index build shards over bands, QueryBatch() shards over queries, and a
-// single large Query() shards its candidate verification over candidates
-// (results identical to single-threaded for any thread count).
+// collection.
+//
+// Query hashing (core/query_sketch.h): a query is hashed into a
+// QuerySketch — its banding hashes eagerly, its verification hashes
+// lazily as posterior rounds ask for them. Query(q) builds a sketch and
+// serves it; Query(sketch) serves a sketch built earlier, by this
+// searcher or by any searcher of the same hash family, so a caller that
+// fans one query out to several searchers (DynamicIndex's base and delta
+// segments, ShardedIndex's shards) hashes it once. The searcher reads
+// every query hash from the sketch and rejects (std::invalid_argument) a
+// sketch of another family.
+//
+// With num_threads > 1 the searcher owns a worker pool: the index build
+// shards over bands, QueryBatch() shards over queries, and a single large
+// Query() shards its candidate verification over candidates (results
+// identical to single-threaded for any thread count).
 //
 // Concurrency model (docs/ARCHITECTURE.md, "Freeze & serve"):
 // Query()/QueryTopK()/QueryBatch() are safe to call concurrently from any
@@ -38,6 +50,7 @@
 
 #include "candgen/lsh_banding.h"
 #include "core/bayes_lsh.h"
+#include "core/query_sketch.h"
 #include "kernel/klsh.h"
 #include "lsh/gaussian_source.h"
 #include "lsh/signature_store.h"
@@ -153,9 +166,20 @@ struct QueryStats {
   // part of this serve reached".
   uint32_t threads_used = 0;
 
+  // Query hashing work (core/query_sketch.h), in chunks hashed from the
+  // query during the call, per family: query_gen_chunks counts banding
+  // chunks (⌈l·k/64⌉ words for bit families, ⌈l·k/chunk_ints⌉ int chunks
+  // otherwise) — one sketch's worth per query for Query/QueryTopK at any
+  // shard count, 0 when the caller passed a prebuilt sketch;
+  // query_verify_chunks counts verification chunks grown on the sketch,
+  // each grown at most once per sketch copy (one copy per shard).
+  uint64_t query_gen_chunks = 0;
+  uint64_t query_verify_chunks = 0;
+
   // Folds another accumulator into this one: counters add, threads_used
   // takes the max — the one merge rule, shared by QuerySearcher's batch
-  // aggregation and DynamicIndex's segment aggregation.
+  // aggregation, DynamicIndex's segment aggregation and ShardedIndex's
+  // shard aggregation.
   void MergeFrom(const QueryStats& other) {
     candidates += other.candidates;
     pruned += other.pruned;
@@ -166,6 +190,8 @@ struct QueryStats {
     deadline_expired += other.deadline_expired;
     rejected_overload += other.rejected_overload;
     threads_used = std::max(threads_used, other.threads_used);
+    query_gen_chunks += other.query_gen_chunks;
+    query_verify_chunks += other.query_verify_chunks;
   }
 };
 
@@ -195,15 +221,36 @@ class QuerySearcher {
   QuerySearcher(const QuerySearcher&) = delete;
   QuerySearcher& operator=(const QuerySearcher&) = delete;
 
+  // Hashes q into a sketch of this searcher's hash family: its banding
+  // chunks now, its verification chunks as Query(sketch) needs them.
+  QuerySketch Sketch(const SparseVectorView& q) const;
+
+  // Sketches of every query, hashed in parallel over the worker pool
+  // (sharded over queries, as QueryBatch is) — slot i sketches queries[i].
+  std::vector<QuerySketch> SketchBatch(
+      std::span<const SparseVectorView> queries) const;
+
   // All collection rows x with s(x, q) >= threshold (subject to the
   // BayesLSH guarantees), sorted by decreasing similarity. Safe to call
   // concurrently (see the class comment); on a frozen searcher the call
-  // performs zero signature-store mutations.
+  // performs zero signature-store mutations. Equivalent to
+  // Query(Sketch(q)), plus the sketch's banding chunks in
+  // stats->query_gen_chunks.
   std::vector<QueryMatch> Query(const SparseVectorView& q,
+                                QueryStats* stats = nullptr) const;
+
+  // Serves a prebuilt sketch: the answer is identical to Query(q) for the
+  // sketched q. Verification chunks the call needs beyond those the
+  // sketch holds are grown on it (and kept), so the sketch is not shared
+  // with concurrent callers. Throws std::invalid_argument when the sketch
+  // comes from another hash family (or is empty).
+  std::vector<QueryMatch> Query(QuerySketch& sketch,
                                 QueryStats* stats = nullptr) const;
 
   // The k most similar rows among those reaching the threshold; ties by id.
   std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
+                                    QueryStats* stats = nullptr) const;
+  std::vector<QueryMatch> QueryTopK(QuerySketch& sketch, uint32_t k,
                                     QueryStats* stats = nullptr) const;
 
   // Batched multi-client serving: answers queries[i] into slot i of the
@@ -220,6 +267,14 @@ class QuerySearcher {
   std::vector<std::vector<QueryMatch>> QueryBatch(
       std::span<const SparseVectorView> queries,
       QueryStats* stats = nullptr, uint32_t top_k = 0) const;
+
+  // Batched serving of prebuilt sketches (SketchBatch, or Sketch per
+  // query), sharded over queries exactly as above; each worker grows only
+  // its own queries' sketches. Throws std::invalid_argument, before
+  // serving anything, when any sketch comes from another hash family.
+  std::vector<std::vector<QueryMatch>> QueryBatch(
+      std::vector<QuerySketch>& sketches, QueryStats* stats = nullptr,
+      uint32_t top_k = 0) const;
 
   // Eagerly grows every collection row's verification signature to the
   // full per-candidate hash budget (bayes.max_hashes, or lite_max_hashes

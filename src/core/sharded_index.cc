@@ -83,8 +83,13 @@ struct SubResult {
   std::atomic<bool> abandoned{false};
 };
 
+// One fan-out's payload, shared read-only by every shard: the queries to
+// hash (each shard sketches them itself), or sketches the router already
+// hashed (each shard serves its own copy, so shards grow verification
+// chunks independently while reading one generation part).
 struct SubRequest {
   std::shared_ptr<const OwnedQueries> queries;
+  std::shared_ptr<const std::vector<QuerySketch>> sketches;
   uint32_t top_k = 0;
   std::shared_ptr<SubResult> result;
 };
@@ -115,6 +120,10 @@ struct ShardedIndex::Impl {
   uint64_t seed = 0;
   Measure measure = Measure::kCosine;
   uint32_t num_dims = 0;
+  // Fingerprint of the shards' common hash family: sketches of any other
+  // family are rejected here, before fan-out, instead of failing on every
+  // shard and tripping the breakers.
+  uint64_t family_fingerprint = 0;
   SteadyClock::time_point epoch = SteadyClock::now();
 
   std::vector<std::unique_ptr<Shard>> shards;
@@ -124,6 +133,8 @@ struct ShardedIndex::Impl {
   // Queries take it shared (merge-time mapping), Add exclusive.
   mutable std::shared_mutex mu;
   uint32_t next_id = 0;
+
+  void CheckFamily(const QuerySketch& sketch) const;
 
   double NowSeconds() const {
     return std::chrono::duration<double>(SteadyClock::now() - epoch).count();
@@ -148,8 +159,13 @@ struct ShardedIndex::Impl {
       QueryStats stats;
       try {
         injector->BeforeShardQuery(s);
-        results = shard.dyn->QueryBatch(req.queries->views, &stats,
-                                        req.top_k);
+        if (req.sketches != nullptr) {
+          std::vector<QuerySketch> sketches = *req.sketches;
+          results = shard.dyn->QueryBatch(sketches, &stats, req.top_k);
+        } else {
+          results = shard.dyn->QueryBatch(req.queries->views, &stats,
+                                          req.top_k);
+        }
       } catch (const std::exception& e) {
         failed = true;
         error = e.what();
@@ -167,11 +183,15 @@ struct ShardedIndex::Impl {
   }
 
   // The fan-out/collect/merge core behind Query/QueryTopK/QueryBatch.
-  // Returns one result list per query slot, in GLOBAL ids, merged over
-  // every shard that answered within the budget.
-  std::vector<std::vector<QueryMatch>> FanOut(
-      std::span<const SparseVectorView> queries, uint32_t top_k,
-      const ServeOptions& opts, QueryStats* stats) const {
+  // `request` carries the queries or sketches (and top_k) every shard
+  // serves; num_queries is their count. Returns one result list per query
+  // slot, in GLOBAL ids, merged over every shard that answered within the
+  // budget.
+  std::vector<std::vector<QueryMatch>> FanOut(const SubRequest& request,
+                                              size_t num_queries,
+                                              const ServeOptions& opts,
+                                              QueryStats* stats) const {
+    const uint32_t top_k = request.top_k;
     const uint32_t K = static_cast<uint32_t>(shards.size());
     const auto start = SteadyClock::now();
     const bool has_deadline = opts.deadline_seconds > 0;
@@ -185,7 +205,6 @@ struct ShardedIndex::Impl {
 
     // Dispatch to every shard whose breaker admits the request. Shards
     // skipped here simply don't contribute (no outcome to record).
-    auto owned = OwnedQueries::Copy(queries);
     struct Pending {
       uint32_t shard;
       std::shared_ptr<SubResult> res;
@@ -198,7 +217,9 @@ struct ShardedIndex::Impl {
       auto res = std::make_shared<SubResult>();
       {
         std::lock_guard<std::mutex> lock(shard.qmu);
-        shard.queue.push_back(SubRequest{owned, top_k, res});
+        SubRequest sub = request;
+        sub.result = res;
+        shard.queue.push_back(std::move(sub));
       }
       shard.qcv.notify_one();
       pending.push_back(Pending{s, std::move(res)});
@@ -257,7 +278,7 @@ struct ShardedIndex::Impl {
     // Merge: map shard-local ids to global ids under the router lock,
     // concatenate per query slot, re-sort with the one ordering rule,
     // truncate to top_k.
-    std::vector<std::vector<QueryMatch>> merged(queries.size());
+    std::vector<std::vector<QueryMatch>> merged(num_queries);
     {
       std::shared_lock<std::shared_mutex> lock(mu);
       for (auto& [s, shard_results] : collected) {
@@ -348,6 +369,8 @@ ShardedIndex::ShardedIndex(Dataset data, const IndexBuildConfig& build,
     impl_->shards.push_back(std::move(shard));
   }
   impl_->measure = impl_->shards[0]->dyn->measure();
+  // An empty query hashes nothing but still carries the family.
+  impl_->family_fingerprint = Sketch(SparseVectorView{}).fingerprint();
   for (uint32_t s = 0; s < K; ++s) {
     impl_->shards[s]->worker = std::thread(&Impl::ExecutorLoop, impl_.get(), s);
   }
@@ -414,26 +437,78 @@ bool ShardedIndex::Contains(uint32_t id) const {
       static_cast<uint32_t>(it - shard.globals.begin()));
 }
 
+QuerySketch ShardedIndex::Sketch(const SparseVectorView& q) const {
+  // Every shard hashes with the same family (one build config, KLSH
+  // anchors resolved once), so shard 0's is everyone's.
+  return impl_->shards[0]->dyn->Sketch(q);
+}
+
+void ShardedIndex::Impl::CheckFamily(const QuerySketch& sketch) const {
+  if (sketch.fingerprint() != family_fingerprint) {
+    throw std::invalid_argument(
+        "ShardedIndex: the query sketch was hashed by another hash family");
+  }
+}
+
 std::vector<QueryMatch> ShardedIndex::Query(const SparseVectorView& q,
                                             QueryStats* stats,
                                             const ServeOptions& opts) const {
-  auto merged = impl_->FanOut({&q, 1}, /*top_k=*/0, opts, stats);
-  return std::move(merged[0]);
+  const QuerySketch sketch = Sketch(q);
+  if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
+  return Query(sketch, stats, opts);
+}
+
+std::vector<QueryMatch> ShardedIndex::Query(const QuerySketch& sketch,
+                                            QueryStats* stats,
+                                            const ServeOptions& opts) const {
+  impl_->CheckFamily(sketch);
+  SubRequest request;
+  request.sketches =
+      std::make_shared<const std::vector<QuerySketch>>(1, sketch);
+  return std::move(impl_->FanOut(request, 1, opts, stats)[0]);
 }
 
 std::vector<QueryMatch> ShardedIndex::QueryTopK(const SparseVectorView& q,
                                                 uint32_t k, QueryStats* stats,
                                                 const ServeOptions& opts) const {
   if (k == 0) return {};
-  auto merged = impl_->FanOut({&q, 1}, k, opts, stats);
-  return std::move(merged[0]);
+  const QuerySketch sketch = Sketch(q);
+  if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
+  return QueryTopK(sketch, k, stats, opts);
+}
+
+std::vector<QueryMatch> ShardedIndex::QueryTopK(const QuerySketch& sketch,
+                                                uint32_t k, QueryStats* stats,
+                                                const ServeOptions& opts) const {
+  impl_->CheckFamily(sketch);
+  if (k == 0) return {};
+  SubRequest request;
+  request.sketches =
+      std::make_shared<const std::vector<QuerySketch>>(1, sketch);
+  request.top_k = k;
+  return std::move(impl_->FanOut(request, 1, opts, stats)[0]);
 }
 
 std::vector<std::vector<QueryMatch>> ShardedIndex::QueryBatch(
     std::span<const SparseVectorView> queries, QueryStats* stats,
     uint32_t top_k, const ServeOptions& opts) const {
   if (queries.empty()) return {};
-  return impl_->FanOut(queries, top_k, opts, stats);
+  SubRequest request;
+  request.queries = OwnedQueries::Copy(queries);
+  request.top_k = top_k;
+  return impl_->FanOut(request, queries.size(), opts, stats);
+}
+
+std::vector<std::vector<QueryMatch>> ShardedIndex::QueryBatch(
+    const std::vector<QuerySketch>& sketches, QueryStats* stats,
+    uint32_t top_k, const ServeOptions& opts) const {
+  for (const QuerySketch& sketch : sketches) impl_->CheckFamily(sketch);
+  if (sketches.empty()) return {};
+  SubRequest request;
+  request.sketches =
+      std::make_shared<const std::vector<QuerySketch>>(sketches);
+  request.top_k = top_k;
+  return impl_->FanOut(request, sketches.size(), opts, stats);
 }
 
 void ShardedIndex::WaitForCompaction() {

@@ -35,6 +35,15 @@
 // tests/degraded_serve_test.cc for SRP/minwise/b-bit at 1 and 8
 // threads).
 //
+// Query hashing: every shard hashes with one family (same build config;
+// KLSH anchors sampled once), so Query/QueryTopK hash the query once, on
+// the router thread, into a QuerySketch (core/query_sketch.h) and fan
+// that out. Each executor serves its own copy: the copies share the
+// banding chunks (read by all K executors at once) and each grows its
+// verification chunks once across its base and delta segments. QueryBatch
+// over raw queries lets each shard sketch the batch on its own executor
+// and pool instead, keeping batch hashing parallel.
+//
 // Degradation contract (the point of this layer):
 //   - Per-query deadline (ServeOptions::deadline_seconds): the router
 //     stops collecting when the budget expires and returns the merged
@@ -148,7 +157,23 @@ class ShardedIndex {
   // answer. stats (when given) receives the merged shard stats plus the
   // robustness counters (QueryStats: shards_total/shards_answered/
   // deadline_expired).
+  // Query(q) hashes q once, on the calling (router) thread, into a
+  // sketch (core/query_sketch.h) and fans the sketch out:
+  // stats->query_gen_chunks gains one sketch's banding chunks, whatever K.
   std::vector<QueryMatch> Query(const SparseVectorView& q,
+                                QueryStats* stats = nullptr,
+                                const ServeOptions& opts = {}) const;
+
+  // Hashes q into a sketch of the shards' common hash family.
+  QuerySketch Sketch(const SparseVectorView& q) const;
+
+  // Serves a prebuilt sketch. The router's sketch is read-only: every
+  // shard executor serves its own copy, which shares the banding chunks
+  // (read concurrently by all K executors) and grows its own verification
+  // chunks, once across that shard's base and delta. Throws
+  // std::invalid_argument, before any shard sees it, for a sketch of
+  // another family.
+  std::vector<QueryMatch> Query(const QuerySketch& sketch,
                                 QueryStats* stats = nullptr,
                                 const ServeOptions& opts = {}) const;
 
@@ -157,14 +182,24 @@ class ShardedIndex {
   std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
                                     QueryStats* stats = nullptr,
                                     const ServeOptions& opts = {}) const;
+  std::vector<QueryMatch> QueryTopK(const QuerySketch& sketch, uint32_t k,
+                                    QueryStats* stats = nullptr,
+                                    const ServeOptions& opts = {}) const;
 
   // Batched serving: slot i answers queries[i]. One fan-out round-trip
   // per shard for the whole batch (each shard's executor runs its own
   // QueryBatch), so the deadline and breaker accounting apply once per
   // shard, not once per query. top_k != 0 truncates per query after the
-  // merge.
+  // merge. Each shard sketches the batch on its own executor (in parallel
+  // over its pool) rather than the router hashing it serially: at most one
+  // sketch per query per shard.
   std::vector<std::vector<QueryMatch>> QueryBatch(
       std::span<const SparseVectorView> queries, QueryStats* stats = nullptr,
+      uint32_t top_k = 0, const ServeOptions& opts = {}) const;
+  // Batched serving of prebuilt sketches, copied per shard as for
+  // Query(sketch).
+  std::vector<std::vector<QueryMatch>> QueryBatch(
+      const std::vector<QuerySketch>& sketches, QueryStats* stats = nullptr,
       uint32_t top_k = 0, const ServeOptions& opts = {}) const;
 
   // Drains every shard's background compaction. The bounded overload

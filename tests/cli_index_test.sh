@@ -49,12 +49,52 @@ check_rc "query against valid index" 0 $?
 check_rc "batched frozen query" 0 $?
 cmp -s matches.txt batch.txt || { echo "FAIL: --batch output differs from serial loop" >&2; fails=$((fails + 1)); }
 grep -q '"qps"' batch_err.txt || { echo "FAIL: --qps-report emitted no qps line" >&2; fails=$((fails + 1)); }
+# The report carries every QueryStats field, the query-hashing counters
+# included, summed over the serve.
+for key in queries matches threads threads_used candidates pruned \
+    hashes_compared ghost_candidates shards_total shards_answered \
+    deadline_expired rejected_overload query_gen_chunks \
+    query_verify_chunks batch frozen dynamic load_seconds \
+    construct_seconds serve_seconds qps; do
+  grep -q "\"$key\": " batch_err.txt || { echo "FAIL: --qps-report lacks \"$key\"" >&2; fails=$((fails + 1)); }
+done
+grep -q '"query_gen_chunks": [1-9]' batch_err.txt || { echo "FAIL: --qps-report counted no query hashing" >&2; fails=$((fails + 1)); }
 
 # Usage errors: exit 1.
 "$CLI" index --input corpus.txt 2>/dev/null
 check_rc "index without --output" 1 $?
 "$CLI" query --index corpus.idx 2>/dev/null
 check_rc "query without --query-file" 1 $?
+
+# Strict flags: an unknown flag, a stray argument, a missing value, or a
+# numeric value that is not wholly a number in range is a usage error —
+# exit 1 with one diagnostic, never a serve with a default.
+usage_case() { # description, then the CLI arguments
+  desc="$1"
+  shift
+  "$CLI" "$@" > /dev/null 2>err.txt
+  check_rc "$desc" 1 $?
+  check_one_error_line "$desc" err.txt
+}
+usage_case "unknown flag" query --index corpus.idx --query-file corpus.txt \
+  --normalize --no-such-flag 7
+usage_case "non-numeric --top-k" query --index corpus.idx \
+  --query-file corpus.txt --top-k abc
+usage_case "negative --top-k" query --index corpus.idx \
+  --query-file corpus.txt --top-k -1
+usage_case "overflowing --top-k" query --index corpus.idx \
+  --query-file corpus.txt --top-k 4294967296
+usage_case "trailing garbage in --bands" index --input corpus.txt \
+  --output strict.idx --bands 4x
+usage_case "trailing garbage in --threshold" query --index corpus.idx \
+  --query-file corpus.txt --threshold 0.5x
+usage_case "stray argument" query --index corpus.idx \
+  --query-file corpus.txt extra
+usage_case "missing flag value" query --index corpus.idx \
+  --query-file corpus.txt --output
+usage_case "flag of another subcommand" query --index corpus.idx \
+  --query-file corpus.txt --shards 2
+[ ! -e strict.idx ] || { echo "FAIL: index written despite a bad flag" >&2; fails=$((fails + 1)); }
 
 # Wrong magic: a dataset file is not an index.
 "$CLI" query --index corpus.txt --query-file corpus.txt 2>err.txt

@@ -23,8 +23,9 @@
 //       through the concurrent QueryBatch engine (sharding over queries
 //       with --threads workers), --freeze pins a plain index's signature
 //       store to the immutable serving form first, and --qps-report
-//       prints a machine-readable throughput line to stderr (reporting
-//       the thread count actually used — a contended or unshardable
+//       prints a machine-readable line to stderr: throughput plus every
+//       QueryStats counter summed over the serve (threads_used is the
+//       widest parallelism actually reached — a contended or unshardable
 //       serve reports fewer threads than requested). Results are
 //       identical with and without --batch/--freeze.
 //
@@ -63,10 +64,15 @@
 //       Prints Table-1-style statistics for a dataset file.
 //
 // Exit codes: 0 success, 1 bad usage, 2 I/O or data error (including
-// corrupt, truncated or version-mismatched index files).
+// corrupt, truncated or version-mismatched index files). Flags are
+// strict: a flag the subcommand does not know, a stray argument, a
+// missing value or a malformed number (not wholly a number, negative for
+// a count, out of range) is bad usage, reported on one "error:" line.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -144,9 +150,10 @@ int Usage() {
       "  --mmap             (zero-copy load: map the index read-only and\n"
       "                      serve signatures from the mapping; plain\n"
       "                      format-v2+ indexes only, results identical)\n"
-      "  --qps-report       (print a JSON throughput line to stderr,\n"
-      "                      reporting the threads actually used and the\n"
-      "                      tombstone-suppressed ghost candidates)\n"
+      "  --qps-report       (print a JSON line to stderr: throughput plus\n"
+      "                      every QueryStats counter, summed — the\n"
+      "                      threads actually used, ghost candidates,\n"
+      "                      query hash chunks; see docs/CLI.md)\n"
       "  --threads N --output FILE\n"
       "  --wal FILE         (dynamic indexes: replay un-checkpointed\n"
       "                      mutations from a write-ahead log first)\n"
@@ -189,22 +196,161 @@ int Usage() {
   return 1;
 }
 
-// Minimal flag parser: --key value pairs plus boolean --flags.
+// A malformed command line. Deliberately not a std::exception, so the
+// subcommands' own error handlers (exit 2) never swallow it: main prints
+// it as one "error:" line and exits 1, the usage-error code.
+struct UsageError {
+  std::string message;
+};
+
+// How a flag's value is read. Numeric values must be the whole token:
+// "4x", "abc", "-1" (for unsigned flags) and out-of-range values are
+// usage errors, never silently truncated or wrapped.
+enum class FlagKind { kBool, kString, kUint32, kUint64, kDouble };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+// The flags each subcommand accepts; any other flag is a usage error.
+const std::map<std::string, std::vector<FlagSpec>>& CommandFlags() {
+  using K = FlagKind;
+  // The flags add, remove and compact share (durability included).
+  static const std::vector<FlagSpec> kMutationFlags = {
+      {"wal", K::kString},
+      {"wal-sync", K::kBool},
+      {"compact-delta-rows", K::kUint32},
+      {"compact-tombstones", K::kDouble},
+      {"threads", K::kUint32},
+      {"output", K::kString},
+      {"index", K::kString}};
+  auto with_mutation_flags = [&](std::vector<FlagSpec> flags) {
+    flags.insert(flags.end(), kMutationFlags.begin(), kMutationFlags.end());
+    return flags;
+  };
+  static const std::map<std::string, std::vector<FlagSpec>> kFlags = {
+      {"allpairs",
+       {{"input", K::kString}, {"threshold", K::kDouble},
+        {"measure", K::kString}, {"generator", K::kString},
+        {"verifier", K::kString}, {"epsilon", K::kDouble},
+        {"delta", K::kDouble}, {"gamma", K::kDouble},
+        {"seed", K::kUint64}, {"threads", K::kUint32},
+        {"tfidf", K::kBool}, {"normalize", K::kBool},
+        {"output", K::kString}}},
+      {"index",
+       {{"input", K::kString}, {"output", K::kString},
+        {"measure", K::kString}, {"threshold", K::kDouble},
+        {"bands", K::kUint32}, {"band-hashes", K::kUint32},
+        {"bbit", K::kUint32}, {"kernel", K::kString},
+        {"kernel-gamma", K::kDouble}, {"anchors", K::kUint32},
+        {"prefetch", K::kString}, {"format-version", K::kUint32},
+        {"threads", K::kUint32}, {"seed", K::kUint64},
+        {"tfidf", K::kBool}, {"normalize", K::kBool}}},
+      {"query",
+       {{"index", K::kString}, {"query-file", K::kString},
+        {"threshold", K::kDouble}, {"top-k", K::kUint32},
+        {"exact", K::kBool}, {"normalize", K::kBool},
+        {"batch", K::kBool}, {"freeze", K::kBool}, {"mmap", K::kBool},
+        {"qps-report", K::kBool}, {"threads", K::kUint32},
+        {"output", K::kString}, {"wal", K::kString}}},
+      {"serve",
+       {{"index", K::kString}, {"shards", K::kUint32},
+        {"threshold", K::kDouble}, {"top-k", K::kUint32},
+        {"exact", K::kBool}, {"normalize", K::kBool},
+        {"threads", K::kUint32}, {"mmap", K::kBool},
+        {"deadline-ms", K::kDouble}, {"rate", K::kDouble},
+        {"burst", K::kDouble}, {"max-in-flight", K::kUint32},
+        {"breaker-failures", K::kUint32},
+        {"breaker-open-ms", K::kDouble},
+        {"shard-timeout-ms", K::kDouble},
+        {"drain-timeout-ms", K::kDouble}}},
+      {"add", with_mutation_flags(
+                  {{"input", K::kString}, {"normalize", K::kBool}})},
+      {"remove", with_mutation_flags({{"ids", K::kString}})},
+      {"compact", with_mutation_flags({})},
+      {"generate",
+       {{"kind", K::kString}, {"vectors", K::kUint32},
+        {"output", K::kString}, {"seed", K::kUint64},
+        {"binary", K::kBool}}},
+      {"stats", {{"input", K::kString}}},
+  };
+  return kFlags;
+}
+
+// The whole token as an unsigned integer <= max, or a UsageError.
+uint64_t ParseUnsigned(const std::string& flag, const std::string& text,
+                       uint64_t max) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || v > max) {
+    throw UsageError{"--" + flag + " must be an integer in [0, " +
+                     std::to_string(max) + "] (got '" + text + "')"};
+  }
+  return v;
+}
+
+// The whole token as a finite number, or a UsageError.
+double ParseNumber(const std::string& flag, const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    throw UsageError{"--" + flag + " must be a number (got '" + text +
+                     "')"};
+  }
+  return v;
+}
+
+// Strict flag parser: --key value pairs plus boolean --flags, checked
+// against the subcommand's flag table. Unknown flags, stray arguments,
+// missing values and malformed numbers throw UsageError, so every typo
+// fails closed instead of serving with a default.
 struct Args {
   std::map<std::string, std::string> values;
   std::map<std::string, bool> flags;
 
-  static Args Parse(int argc, char** argv, int first) {
+  static Args Parse(const std::string& command,
+                    const std::vector<FlagSpec>& known, int argc,
+                    char** argv, int first) {
     Args a;
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        a.values[key] = argv[++i];
-      } else {
-        a.flags[key] = true;
+      const std::string token = argv[i];
+      if (token.rfind("--", 0) != 0) {
+        throw UsageError{"unexpected argument '" + token + "'"};
       }
+      const std::string key = token.substr(2);
+      const auto spec =
+          std::find_if(known.begin(), known.end(),
+                       [&](const FlagSpec& f) { return key == f.name; });
+      if (spec == known.end()) {
+        throw UsageError{"unknown flag '" + token + "' for '" + command +
+                         "'"};
+      }
+      if (spec->kind == FlagKind::kBool) {
+        a.flags[key] = true;
+        continue;
+      }
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        throw UsageError{token + " needs a value"};
+      }
+      const std::string value = argv[++i];
+      switch (spec->kind) {
+        case FlagKind::kUint32:
+          ParseUnsigned(key, value, UINT32_MAX);
+          break;
+        case FlagKind::kUint64:
+          ParseUnsigned(key, value, UINT64_MAX);
+          break;
+        case FlagKind::kDouble:
+          ParseNumber(key, value);
+          break;
+        case FlagKind::kBool:
+        case FlagKind::kString:
+          break;
+      }
+      a.values[key] = value;
     }
     return a;
   }
@@ -213,15 +359,18 @@ struct Args {
     const auto it = values.find(key);
     return it == values.end() ? dflt : it->second;
   }
+  // Numeric getters; Parse has already checked the value's kind.
   double GetDouble(const std::string& key, double dflt) const {
     const auto it = values.find(key);
-    return it == values.end() ? dflt : std::atof(it->second.c_str());
+    return it == values.end() ? dflt : ParseNumber(key, it->second);
   }
   uint64_t GetUint(const std::string& key, uint64_t dflt) const {
     const auto it = values.find(key);
-    return it == values.end()
-               ? dflt
-               : static_cast<uint64_t>(std::atoll(it->second.c_str()));
+    return it == values.end() ? dflt
+                              : ParseUnsigned(key, it->second, UINT64_MAX);
+  }
+  uint32_t GetUint32(const std::string& key, uint32_t dflt) const {
+    return static_cast<uint32_t>(GetUint(key, dflt));
   }
   bool Has(const std::string& key) const {
     return flags.count(key) > 0 || values.count(key) > 0;
@@ -275,26 +424,8 @@ bool ParseKlshFlags(const Args& args, IndexBuildConfig* cfg) {
     return false;
   }
   cfg->kernel.gamma = args.GetDouble("kernel-gamma", 1.0);
-  const auto anchors = static_cast<uint32_t>(args.GetUint("anchors", 0));
+  const auto anchors = args.GetUint32("anchors", 0);
   if (anchors != 0) cfg->klsh.num_anchors = anchors;
-  return true;
-}
-
-// Parses --threads into *out; returns false (after printing an error) on a
-// malformed value.
-bool ParseThreads(const Args& args, uint32_t* out) {
-  const std::string threads = args.Get("threads", "1");
-  char* end = nullptr;
-  const long long v = std::strtoll(threads.c_str(), &end, 10);
-  if (end == threads.c_str() || *end != '\0' || v < 0 ||
-      v > static_cast<long long>(UINT32_MAX)) {
-    std::fprintf(stderr,
-                 "error: --threads must be a non-negative integer "
-                 "(got '%s')\n",
-                 threads.c_str());
-    return false;
-  }
-  *out = static_cast<uint32_t>(v);
   return true;
 }
 
@@ -349,7 +480,7 @@ int RunAllPairs(const Args& args) {
   cfg.bayes.delta = args.GetDouble("delta", 0.05);
   cfg.bayes.gamma = args.GetDouble("gamma", 0.03);
   cfg.seed = args.GetUint("seed", 42);
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = args.GetUint32("threads", 1);
 
   const PipelineResult result = RunPipeline(data, cfg);
 
@@ -407,23 +538,23 @@ int RunIndex(const Args& args) {
     return 1;
   }
   cfg.threshold = args.GetDouble("threshold", 0.7);
-  cfg.banding.num_bands = static_cast<uint32_t>(args.GetUint("bands", 0));
-  cfg.banding.hashes_per_band =
-      static_cast<uint32_t>(args.GetUint("band-hashes", 0));
-  cfg.bbit = static_cast<uint32_t>(args.GetUint("bbit", 0));
+  cfg.banding.num_bands = args.GetUint32("bands", 0);
+  cfg.banding.hashes_per_band = args.GetUint32("band-hashes", 0);
+  cfg.bbit = args.GetUint32("bbit", 0);
   if (args.Get("prefetch", "") == "full") {
     cfg.prefetch_hashes = kPrefetchFull;
   } else {
-    cfg.prefetch_hashes = static_cast<uint32_t>(args.GetUint("prefetch", 0));
+    cfg.prefetch_hashes = static_cast<uint32_t>(
+        ParseUnsigned("prefetch", args.Get("prefetch", "0"), UINT32_MAX));
   }
   cfg.seed = args.GetUint("seed", 42);
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = args.GetUint32("threads", 1);
 
   // Old writers are still in the fleet, so `index` can emit the previous
   // wire layouts on demand; Save itself rejects a measure the requested
   // version cannot carry (the new measure tags require v3).
-  const auto format_version = static_cast<uint32_t>(
-      args.GetUint("format-version", kIndexFormatVersion));
+  const uint32_t format_version =
+      args.GetUint32("format-version", kIndexFormatVersion);
   if (format_version < 1 || format_version > kIndexFormatVersion) {
     std::fprintf(stderr, "error: --format-version must be 1..%u\n",
                  kIndexFormatVersion);
@@ -453,37 +584,17 @@ int RunIndex(const Args& args) {
   return 0;
 }
 
-// Cross-query accumulation of the per-call QueryStats, for the honest
-// --qps-report: widest thread count any query actually reached, plus the
-// summed robustness counters (ghosts, expired deadlines, answered shards,
-// admission rejections — the last three stay 0 for unsharded serving).
-struct ServeTally {
-  uint64_t matches = 0;
-  uint32_t threads_used = 1;
-  uint64_t ghosts = 0;
-  uint64_t deadline_expired = 0;
-  uint64_t shards_answered = 0;
-  uint64_t rejected_overload = 0;
-
-  void Absorb(const QueryStats& stats) {
-    threads_used = std::max(threads_used, stats.threads_used);
-    ghosts += stats.ghost_candidates;
-    deadline_expired += stats.deadline_expired;
-    shards_answered += stats.shards_answered;
-    rejected_overload += stats.rejected_overload;
-  }
-};
-
 // Serves every row of `queries` through `searcher` — a QuerySearcher or a
 // DynamicIndex, which share the Query/QueryTopK/QueryBatch surface —
 // writing one "qid id sim" line per match. Stats are per-call (each
-// Query overwrites them), so the tally sums across calls. `sim_scale` is
-// -1.0 for Euclidean indexes (the engine ranks by negated distance;
-// the CLI prints the distance itself) and 1.0 otherwise.
+// Query overwrites them), so *total folds every call's stats in with
+// QueryStats::MergeFrom and *matches counts the matches written.
+// `sim_scale` is -1.0 for Euclidean indexes (the engine ranks by negated
+// distance; the CLI prints the distance itself) and 1.0 otherwise.
 template <typename Searcher>
 void ServeQueries(const Searcher& searcher, const Dataset& queries,
                   bool batch, uint32_t top_k, double sim_scale,
-                  std::ostream& out, ServeTally* tally) {
+                  std::ostream& out, QueryStats* total, uint64_t* matches) {
   QueryStats stats;
   if (batch) {
     std::vector<SparseVectorView> qviews;
@@ -493,24 +604,24 @@ void ServeQueries(const Searcher& searcher, const Dataset& queries,
     }
     const std::vector<std::vector<QueryMatch>> batched =
         searcher.QueryBatch(qviews, &stats, top_k);
-    tally->Absorb(stats);
+    total->MergeFrom(stats);
     for (uint32_t qid = 0; qid < batched.size(); ++qid) {
       for (const QueryMatch& m : batched[qid]) {
         out << qid << ' ' << m.id << ' ' << m.sim * sim_scale << '\n';
       }
-      tally->matches += batched[qid].size();
+      *matches += batched[qid].size();
     }
   } else {
     for (uint32_t qid = 0; qid < queries.num_vectors(); ++qid) {
       const SparseVectorView q = queries.Row(qid);
-      const std::vector<QueryMatch> matches =
+      const std::vector<QueryMatch> found =
           top_k != 0 ? searcher.QueryTopK(q, top_k, &stats)
                      : searcher.Query(q, &stats);
-      tally->Absorb(stats);
-      for (const QueryMatch& m : matches) {
+      total->MergeFrom(stats);
+      for (const QueryMatch& m : found) {
         out << qid << ' ' << m.id << ' ' << m.sim * sim_scale << '\n';
       }
-      tally->matches += matches.size();
+      *matches += found.size();
     }
   }
 }
@@ -518,8 +629,7 @@ void ServeQueries(const Searcher& searcher, const Dataset& queries,
 // Applies the shared durability / auto-compaction flags to a dynamic-index
 // config. Returns false (after a diagnostic) on a malformed value.
 bool ParseDurabilityFlags(const Args& args, DynamicIndexConfig* cfg) {
-  cfg->auto_compact_delta_rows =
-      static_cast<uint32_t>(args.GetUint("compact-delta-rows", 0));
+  cfg->auto_compact_delta_rows = args.GetUint32("compact-delta-rows", 0);
   cfg->auto_compact_tombstone_fraction =
       args.GetDouble("compact-tombstones", 0.0);
   if (cfg->auto_compact_tombstone_fraction < 0.0 ||
@@ -556,8 +666,7 @@ void AttachWalFlag(const Args& args, DynamicIndex* dyn) {
 int RunQuery(const Args& args) {
   if (!args.Has("index") || !args.Has("query-file")) return Usage();
 
-  uint32_t num_threads = 1;
-  if (!ParseThreads(args, &num_threads)) return 1;
+  const uint32_t num_threads = args.GetUint32("threads", 1);
   // Valid serving thresholds are positive; rejecting an explicit 0 up
   // front keeps plain and dynamic indexes consistent (0 is the dynamic
   // config's "use the build threshold" sentinel, never a user value).
@@ -659,7 +768,7 @@ int RunQuery(const Args& args) {
   if (args.Has("normalize") && measure == Measure::kCosine) {
     queries = L2NormalizeRows(queries);
   }
-  const auto top_k = static_cast<uint32_t>(args.GetUint("top-k", 0));
+  const auto top_k = args.GetUint32("top-k", 0);
 
   std::ostream* out = &std::cout;
   std::ofstream file;
@@ -690,14 +799,15 @@ int RunQuery(const Args& args) {
     const double construct_s = construct_timer.Seconds();
 
     WallTimer query_timer;
-    ServeTally tally;
+    QueryStats total;
+    uint64_t matches = 0;
     const double sim_scale = measure == Measure::kEuclidean ? -1.0 : 1.0;
     if (dynamic) {
       ServeQueries(*dyn, queries, args.Has("batch"), top_k, sim_scale,
-                   *out, &tally);
+                   *out, &total, &matches);
     } else {
       ServeQueries(*searcher, queries, args.Has("batch"), top_k, sim_scale,
-                   *out, &tally);
+                   *out, &total, &matches);
     }
     const double serve_s = query_timer.Seconds();
 
@@ -708,37 +818,36 @@ int RunQuery(const Args& args) {
                  queries.num_vectors(),
                  queries.num_vectors() == 1 ? "y" : "ies", indexed_vectors,
                  dynamic ? "live" : "indexed",
-                 static_cast<unsigned long long>(tally.matches), load_s,
+                 static_cast<unsigned long long>(matches), load_s,
                  construct_s, serve_s);
     if (args.Has("qps-report")) {
-      // "threads" is the resolved request; "threads_used" is the widest
-      // parallelism any query actually reached — a contended pool, an
-      // unshardable candidate list or b-bit verification all report
-      // fewer threads than requested.
-      // "ghost_candidates" counts verified matches suppressed because
-      // their logical id is tombstoned — the LSM read amplification a
-      // compaction would reclaim; always 0 for a plain index.
-      // The robustness counters (deadline_expired, shards_answered,
-      // rejected_overload) are summed from the same QueryStats the
-      // sharded serving layer fills; unsharded serving reports them as 0
-      // so one report shape covers every serving mode.
+      // "threads" is the resolved request; every other counter is a
+      // QueryStats field (core/query_search.h) summed over the serve —
+      // "threads_used" is the widest parallelism any query actually
+      // reached. One report shape covers every serving mode: the
+      // sharded-serving counters read 0 here.
+      const auto u = [](uint64_t v) {
+        return static_cast<unsigned long long>(v);
+      };
       std::fprintf(
           stderr,
           "{\"queries\": %u, \"matches\": %llu, \"threads\": %u, "
-          "\"threads_used\": %u, \"ghost_candidates\": %llu, "
-          "\"deadline_expired\": %llu, \"shards_answered\": %llu, "
-          "\"rejected_overload\": %llu, "
+          "\"threads_used\": %u, \"candidates\": %llu, "
+          "\"pruned\": %llu, \"hashes_compared\": %llu, "
+          "\"ghost_candidates\": %llu, \"shards_total\": %llu, "
+          "\"shards_answered\": %llu, \"deadline_expired\": %llu, "
+          "\"rejected_overload\": %llu, \"query_gen_chunks\": %llu, "
+          "\"query_verify_chunks\": %llu, "
           "\"batch\": %s, \"frozen\": %s, "
           "\"dynamic\": %s, \"load_seconds\": %.6f, "
           "\"construct_seconds\": %.6f, \"serve_seconds\": %.6f, "
           "\"qps\": %.1f}\n",
-          queries.num_vectors(),
-          static_cast<unsigned long long>(tally.matches),
-          ResolveNumThreads(num_threads), tally.threads_used,
-          static_cast<unsigned long long>(tally.ghosts),
-          static_cast<unsigned long long>(tally.deadline_expired),
-          static_cast<unsigned long long>(tally.shards_answered),
-          static_cast<unsigned long long>(tally.rejected_overload),
+          queries.num_vectors(), u(matches), ResolveNumThreads(num_threads),
+          total.threads_used, u(total.candidates), u(total.pruned),
+          u(total.hashes_compared), u(total.ghost_candidates),
+          u(total.shards_total), u(total.shards_answered),
+          u(total.deadline_expired), u(total.rejected_overload),
+          u(total.query_gen_chunks), u(total.query_verify_chunks),
           args.Has("batch") ? "true" : "false",
           !dynamic && searcher->frozen() ? "true" : "false",
           dynamic ? "true" : "false", load_s, construct_s, serve_s,
@@ -847,8 +956,7 @@ const char* BreakerStateName(BreakerState s) {
 
 int RunServe(const Args& args) {
   if (!args.Has("index")) return Usage();
-  uint32_t num_threads = 1;
-  if (!ParseThreads(args, &num_threads)) return 1;
+  const uint32_t num_threads = args.GetUint32("threads", 1);
   // Positive up front; the (0, 1] similarity-measure bound is checked
   // after the load reveals the measure (Euclidean serves a radius).
   if (args.Has("threshold")) {
@@ -859,7 +967,7 @@ int RunServe(const Args& args) {
       return 1;
     }
   }
-  const auto num_shards = static_cast<uint32_t>(args.GetUint("shards", 2));
+  const auto num_shards = args.GetUint32("shards", 2);
   if (num_shards == 0) {
     std::fprintf(stderr, "error: --shards must be at least 1\n");
     return 1;
@@ -942,8 +1050,7 @@ int RunServe(const Args& args) {
   scfg.threshold = args.GetDouble("threshold", 0.0);
   scfg.exact_verification = args.Has("exact");
   scfg.num_threads = num_threads;
-  scfg.breaker.failure_threshold =
-      static_cast<uint32_t>(args.GetUint("breaker-failures", 3));
+  scfg.breaker.failure_threshold = args.GetUint32("breaker-failures", 3);
   scfg.breaker.open_seconds =
       args.GetDouble("breaker-open-ms", 1000.0) / 1000.0;
   scfg.shard_timeout_seconds =
@@ -952,12 +1059,11 @@ int RunServe(const Args& args) {
   AdmissionConfig acfg;
   acfg.tokens_per_second = args.GetDouble("rate", 0.0);
   acfg.burst = args.GetDouble("burst", 0.0);
-  acfg.max_in_flight =
-      static_cast<uint32_t>(args.GetUint("max-in-flight", 0));
+  acfg.max_in_flight = args.GetUint32("max-in-flight", 0);
 
   ServeOptions opts;
   opts.deadline_seconds = args.GetDouble("deadline-ms", 0.0) / 1000.0;
-  const auto top_k = static_cast<uint32_t>(args.GetUint("top-k", 0));
+  const auto top_k = args.GetUint32("top-k", 0);
   const double drain_s = args.GetDouble("drain-timeout-ms", 5000.0) / 1000.0;
   const bool normalize =
       args.Has("normalize") && build.measure == Measure::kCosine;
@@ -1124,7 +1230,7 @@ int RunServe(const Args& args) {
 int RunAdd(const Args& args) {
   if (!args.Has("index") || !args.Has("input")) return Usage();
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = args.GetUint32("threads", 1);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1206,7 +1312,7 @@ int RunRemove(const Args& args) {
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = args.GetUint32("threads", 1);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1241,7 +1347,7 @@ int RunRemove(const Args& args) {
 int RunCompact(const Args& args) {
   if (!args.Has("index")) return Usage();
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = args.GetUint32("threads", 1);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1282,8 +1388,7 @@ int RunCompact(const Args& args) {
 int RunGenerate(const Args& args) {
   if (!args.Has("output")) return Usage();
   const std::string kind = args.Get("kind", "text");
-  const uint32_t vectors =
-      static_cast<uint32_t>(args.GetUint("vectors", 2000));
+  const uint32_t vectors = args.GetUint32("vectors", 2000);
   const uint64_t seed = args.GetUint("seed", 42);
 
   Dataset data;
@@ -1346,15 +1451,21 @@ int RunStats(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Args args = Args::Parse(argc, argv, 2);
-  if (cmd == "allpairs") return RunAllPairs(args);
-  if (cmd == "index") return RunIndex(args);
-  if (cmd == "query") return RunQuery(args);
-  if (cmd == "serve") return RunServe(args);
-  if (cmd == "add") return RunAdd(args);
-  if (cmd == "remove") return RunRemove(args);
-  if (cmd == "compact") return RunCompact(args);
-  if (cmd == "generate") return RunGenerate(args);
-  if (cmd == "stats") return RunStats(args);
-  return Usage();
+  const auto flags = CommandFlags().find(cmd);
+  if (flags == CommandFlags().end()) return Usage();
+  try {
+    const Args args = Args::Parse(cmd, flags->second, argc, argv, 2);
+    if (cmd == "allpairs") return RunAllPairs(args);
+    if (cmd == "index") return RunIndex(args);
+    if (cmd == "query") return RunQuery(args);
+    if (cmd == "serve") return RunServe(args);
+    if (cmd == "add") return RunAdd(args);
+    if (cmd == "remove") return RunRemove(args);
+    if (cmd == "compact") return RunCompact(args);
+    if (cmd == "generate") return RunGenerate(args);
+    return RunStats(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.message.c_str());
+    return 1;
+  }
 }
