@@ -1,6 +1,7 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -19,6 +20,28 @@ namespace bayeslsh {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+// The router and the shard executors hand each query back and forth: the
+// router hashes it while the executors wait, then waits while they serve
+// it. A thread that sleeps on a condition variable at each hand-off pays
+// a wake-up whose latency is the host's to decide — on a virtual machine
+// an idle vCPU halts, and waking it takes from microseconds to
+// milliseconds depending on the host's load — so serving speed would
+// follow the host instead of the work. Instead, the router wakes the
+// executors as it starts hashing (Impl::Prewake), so their wake-up
+// overlaps the hash, and they poll for requests until this window from
+// the latest prewake has passed — under steady traffic the next query's
+// prewake comes first, so they never halt; the router polls for each
+// shard's answer for at most one window before it sleeps. Polling yields
+// the CPU to any runnable thread. The window spans the hashing of one
+// query and a shard's share of a typical one.
+constexpr std::chrono::microseconds kHandoffSpin{1000};
+
+// Polls ready() until it holds or `until` passes.
+template <typename Ready>
+void SpinUntil(SteadyClock::time_point until, Ready ready) {
+  while (!ready() && SteadyClock::now() < until) std::this_thread::yield();
+}
 
 // Salt folded into the partitioning hash so shard placement is its own
 // hash stream, uncorrelated with the signature/banding streams derived
@@ -81,6 +104,8 @@ struct SubResult {
   std::vector<std::vector<QueryMatch>> results;  // shard-LOCAL ids
   QueryStats stats;
   std::atomic<bool> abandoned{false};
+  // Mirrors `done` for the router's lock-free poll (kHandoffSpin).
+  std::atomic<bool> ready{false};
 };
 
 // One fan-out's payload, shared read-only by every shard: the queries to
@@ -112,6 +137,12 @@ struct ShardedIndex::Impl {
     std::mutex qmu;
     std::condition_variable qcv;
     std::deque<SubRequest> queue;
+    // queue.size(), for the executor's lock-free poll (kHandoffSpin);
+    // written under qmu.
+    std::atomic<size_t> queued{0};
+    // Set by Prewake (under qmu): until this time the executor polls for
+    // a request the router is hashing, instead of sleeping.
+    std::atomic<SteadyClock::rep> expect_until{0};
     bool stop = false;
     std::thread worker;
   };
@@ -140,17 +171,44 @@ struct ShardedIndex::Impl {
     return std::chrono::duration<double>(SteadyClock::now() - epoch).count();
   }
 
+  // Wakes every executor to poll for a request the caller is about to
+  // hash and dispatch (kHandoffSpin).
+  void Prewake() const {
+    const SteadyClock::rep until =
+        (SteadyClock::now() + kHandoffSpin).time_since_epoch().count();
+    for (const auto& shard : shards) {
+      {
+        std::lock_guard<std::mutex> lock(shard->qmu);
+        shard->expect_until.store(until, std::memory_order_relaxed);
+      }
+      shard->qcv.notify_one();
+    }
+  }
+
   void ExecutorLoop(uint32_t s) {
     Shard& shard = *shards[s];
+    auto expect_until = [&] {
+      return SteadyClock::time_point(SteadyClock::duration(
+          shard.expect_until.load(std::memory_order_relaxed)));
+    };
     for (;;) {
       SubRequest req;
+      SpinUntil(expect_until(), [&] {
+        return shard.queued.load(std::memory_order_acquire) != 0;
+      });
       {
         std::unique_lock<std::mutex> lock(shard.qmu);
-        shard.qcv.wait(lock,
-                       [&] { return shard.stop || !shard.queue.empty(); });
-        if (shard.queue.empty()) return;  // stop && drained
+        shard.qcv.wait(lock, [&] {
+          return shard.stop || !shard.queue.empty() ||
+                 SteadyClock::now() < expect_until();
+        });
+        if (shard.queue.empty()) {
+          if (shard.stop) return;  // stop && drained
+          continue;                // prewoken: poll for the request
+        }
         req = std::move(shard.queue.front());
         shard.queue.pop_front();
+        shard.queued.store(shard.queue.size(), std::memory_order_relaxed);
       }
       if (req.result->abandoned.load(std::memory_order_acquire)) continue;
       bool failed = false;
@@ -177,6 +235,7 @@ struct ShardedIndex::Impl {
         req.result->results = std::move(results);
         req.result->stats = stats;
         req.result->done = true;
+        req.result->ready.store(true, std::memory_order_release);
       }
       req.result->cv.notify_all();
     }
@@ -220,6 +279,7 @@ struct ShardedIndex::Impl {
         SubRequest sub = request;
         sub.result = res;
         shard.queue.push_back(std::move(sub));
+        shard.queued.store(shard.queue.size(), std::memory_order_release);
       }
       shard.qcv.notify_one();
       pending.push_back(Pending{s, std::move(res)});
@@ -235,18 +295,24 @@ struct ShardedIndex::Impl {
     collected.reserve(pending.size());
     for (Pending& p : pending) {
       Shard& shard = *shards[p.shard];
+      const bool bounded = has_deadline || has_shard_to;
+      auto bound = deadline_tp;
+      if (!has_deadline || (has_shard_to && shard_to_tp < deadline_tp)) {
+        bound = shard_to_tp;
+      }
+      auto spin_until = SteadyClock::now() + kHandoffSpin;
+      if (bounded) spin_until = std::min(spin_until, bound);
+      SpinUntil(spin_until, [&] {
+        return p.res->ready.load(std::memory_order_acquire);
+      });
       bool done = false;
       {
         std::unique_lock<std::mutex> lock(p.res->mu);
         auto is_done = [&] { return p.res->done; };
-        if (!has_deadline && !has_shard_to) {
+        if (!bounded) {
           p.res->cv.wait(lock, is_done);
           done = true;
         } else {
-          auto bound = deadline_tp;
-          if (!has_deadline || (has_shard_to && shard_to_tp < deadline_tp)) {
-            bound = shard_to_tp;
-          }
           done = p.res->cv.wait_until(lock, bound, is_done);
         }
       }
@@ -387,6 +453,7 @@ ShardedIndex::~ShardedIndex() {
       // none by construction (the destructor runs after all queries),
       // but drop them defensively.
       shard->queue.clear();
+      shard->queued.store(0, std::memory_order_relaxed);
     }
     shard->qcv.notify_all();
   }
@@ -453,6 +520,7 @@ void ShardedIndex::Impl::CheckFamily(const QuerySketch& sketch) const {
 std::vector<QueryMatch> ShardedIndex::Query(const SparseVectorView& q,
                                             QueryStats* stats,
                                             const ServeOptions& opts) const {
+  impl_->Prewake();
   const QuerySketch sketch = Sketch(q);
   if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
   return Query(sketch, stats, opts);
@@ -472,6 +540,7 @@ std::vector<QueryMatch> ShardedIndex::QueryTopK(const SparseVectorView& q,
                                                 uint32_t k, QueryStats* stats,
                                                 const ServeOptions& opts) const {
   if (k == 0) return {};
+  impl_->Prewake();
   const QuerySketch sketch = Sketch(q);
   if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
   return QueryTopK(sketch, k, stats, opts);

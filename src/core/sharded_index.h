@@ -44,6 +44,13 @@
 // over raw queries lets each shard sketch the batch on its own executor
 // and pool instead, keeping batch hashing parallel.
 //
+// Hand-offs: Query/QueryTopK wake the executors as they start hashing,
+// so the wake-up overlaps the hash, and the executors poll (yielding) for
+// the sketch; the router polls for their answers. Either side polls for
+// at most about a millisecond before it sleeps, so a query's latency
+// does not include waking a halted vCPU, whose cost follows the host's
+// load rather than the work.
+//
 // Degradation contract (the point of this layer):
 //   - Per-query deadline (ServeOptions::deadline_seconds): the router
 //     stops collecting when the budget expires and returns the merged
