@@ -8,11 +8,13 @@
 // definitions out of core/bayes_lsh.h keeps rebuilds of the public header
 // cheap and the instantiation set explicit.
 //
-// The per-pair loops live in internal::BayesVerifyPairRange /
-// internal::LiteVerifyPairRange, generic over a `match(a, b, from, to)`
-// callable, so the sequential engines here and the sharded parallel
-// drivers in core/parallel_verify.h run literally the same verification
-// code — which is what makes the multi-threaded output bit-identical.
+// The round loops live in internal::BayesRounds / internal::LiteRounds,
+// generic over a `match(a, b, from, to)` callable and resumable from a
+// pair's evidence so far. The sequential engines here run each pair's
+// rounds to the end in one call (depth-first); the level-synchronous
+// parallel driver in core/parallel_verify.h runs every open pair a few
+// rounds at a time. Both execute literally the same per-round decisions,
+// which is what makes the multi-threaded output bit-identical.
 
 #ifndef BAYESLSH_CORE_BAYES_LSH_IMPL_H_
 #define BAYESLSH_CORE_BAYES_LSH_IMPL_H_
@@ -34,82 +36,137 @@ inline void RecordSurvival(std::vector<uint64_t>* curve,
   }
 }
 
-// Algorithm 1's inner loop over pairs [begin, end). `stats` must arrive
-// with surviving_after_round sized rounds + 1; pairs_in is not touched.
+// A pair's evidence so far: m matching hashes among its first n.
+struct PairEvidence {
+  uint32_t m = 0;
+  uint32_t n = 0;
+};
+
+// Where a pair stands after a stretch of rounds: still open, or decided.
+// kRejected is BayesLSH-Lite's exact similarity falling below the
+// threshold.
+enum class PairVerdict : uint8_t { kOpen, kPruned, kAccepted, kRejected };
+
+// Algorithm 1's rounds for pair (a, b), continued from *ev while the next
+// round ends at or before `until` hashes (a multiple of k, at most the
+// budget). On kAccepted, *sim holds the reported estimate. `stats` must
+// arrive with surviving_after_round sized rounds + 1.
 template <typename Model, typename Match>
-void BayesVerifyPairRange(
-    const Model& model, InferenceCache<Model>& cache, const Match& match,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, size_t begin,
-    size_t end, std::vector<ScoredPair>* out, VerifyStats* stats) {
+PairVerdict BayesRounds(const Model& model, InferenceCache<Model>& cache,
+                        const Match& match, uint32_t a, uint32_t b,
+                        uint32_t until, PairEvidence* ev, double* sim,
+                        VerifyStats* stats) {
   const uint32_t k = cache.hashes_per_round();
   const uint32_t rounds = cache.max_hashes() / k;
-  for (size_t idx = begin; idx < end; ++idx) {
-    const auto& [a, b] = pairs[idx];
-    uint32_t m = 0, n = 0;
-    bool resolved = false;
-    for (uint32_t r = 0; r < rounds; ++r) {
-      m += match(a, b, n, n + k);
-      n += k;
-      stats->hashes_compared += k;
-      if (m < cache.MinMatches(n)) {
-        ++stats->pruned;
-        RecordSurvival(&stats->surviving_after_round, r + 1);
-        resolved = true;
-        break;
-      }
-      const auto er = cache.EstimateAt(m, n);
-      if (er.concentrated) {
-        ++stats->accepted;
-        out->push_back({a, b, er.estimate});
-        RecordSurvival(&stats->surviving_after_round, rounds + 1);
-        resolved = true;
-        break;
-      }
+  while (ev->n + k <= until) {
+    ev->m += match(a, b, ev->n, ev->n + k);
+    ev->n += k;
+    stats->hashes_compared += k;
+    if (ev->m < cache.MinMatches(ev->n)) {
+      ++stats->pruned;
+      RecordSurvival(&stats->surviving_after_round, ev->n / k);
+      return PairVerdict::kPruned;
     }
-    if (!resolved) {
-      // Hash budget exhausted: accept with the current estimate.
-      ++stats->forced_accepts;
+    const auto er = cache.EstimateAt(ev->m, ev->n);
+    if (er.concentrated) {
       ++stats->accepted;
-      out->push_back({a, b, model.Estimate(static_cast<int>(m),
-                                           static_cast<int>(n))});
+      *sim = er.estimate;
       RecordSurvival(&stats->surviving_after_round, rounds + 1);
+      return PairVerdict::kAccepted;
     }
   }
+  if (ev->n < cache.max_hashes()) return PairVerdict::kOpen;
+  // Hash budget exhausted: accept with the current estimate.
+  ++stats->forced_accepts;
+  ++stats->accepted;
+  *sim = model.Estimate(static_cast<int>(ev->m), static_cast<int>(ev->n));
+  RecordSurvival(&stats->surviving_after_round, rounds + 1);
+  return PairVerdict::kAccepted;
 }
 
-// Algorithm 2's inner loop over pairs [begin, end).
+// Algorithm 2's rounds for pair (a, b); see BayesRounds. A pair that
+// survives the whole pruning budget is scored with exact_sim.
 template <typename Model, typename Match, typename ExactFn>
-void LiteVerifyPairRange(
-    InferenceCache<Model>& cache, const Match& match, const ExactFn& exact_sim,
-    double threshold, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    size_t begin, size_t end, std::vector<ScoredPair>* out,
-    VerifyStats* stats) {
+PairVerdict LiteRounds(InferenceCache<Model>& cache, const Match& match,
+                       const ExactFn& exact_sim, double threshold, uint32_t a,
+                       uint32_t b, uint32_t until, PairEvidence* ev,
+                       double* sim, VerifyStats* stats) {
   const uint32_t k = cache.hashes_per_round();
   const uint32_t rounds = cache.max_hashes() / k;
-  for (size_t idx = begin; idx < end; ++idx) {
-    const auto& [a, b] = pairs[idx];
-    uint32_t m = 0, n = 0;
-    bool pruned = false;
-    for (uint32_t r = 0; r < rounds; ++r) {
-      m += match(a, b, n, n + k);
-      n += k;
-      stats->hashes_compared += k;
-      if (m < cache.MinMatches(n)) {
-        ++stats->pruned;
-        RecordSurvival(&stats->surviving_after_round, r + 1);
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
-    RecordSurvival(&stats->surviving_after_round, rounds + 1);
-    ++stats->exact_computed;
-    const double s = exact_sim(a, b);
-    if (s >= threshold) {
-      ++stats->accepted;
-      out->push_back({a, b, s});
+  while (ev->n + k <= until) {
+    ev->m += match(a, b, ev->n, ev->n + k);
+    ev->n += k;
+    stats->hashes_compared += k;
+    if (ev->m < cache.MinMatches(ev->n)) {
+      ++stats->pruned;
+      RecordSurvival(&stats->surviving_after_round, ev->n / k);
+      return PairVerdict::kPruned;
     }
   }
+  if (ev->n < cache.max_hashes()) return PairVerdict::kOpen;
+  RecordSurvival(&stats->surviving_after_round, rounds + 1);
+  ++stats->exact_computed;
+  *sim = exact_sim(a, b);
+  if (!(*sim >= threshold)) return PairVerdict::kRejected;
+  ++stats->accepted;
+  return PairVerdict::kAccepted;
+}
+
+// The two round loops above with their engine-specific arguments bound,
+// called by the drivers as run_rounds(cache, match, a, b, until, &ev, &sim,
+// &stats).
+template <typename Model>
+auto BayesRoundLoop(const Model& model) {
+  return [&model](auto& cache, const auto& match, uint32_t a, uint32_t b,
+                  uint32_t until, PairEvidence* ev, double* sim,
+                  VerifyStats* st) {
+    return BayesRounds(model, cache, match, a, b, until, ev, sim, st);
+  };
+}
+
+template <typename ExactFn>
+auto LiteRoundLoop(const ExactFn& exact_sim, double threshold) {
+  return [&exact_sim, threshold](auto& cache, const auto& match, uint32_t a,
+                                 uint32_t b, uint32_t until, PairEvidence* ev,
+                                 double* sim, VerifyStats* st) {
+    return LiteRounds(cache, match, exact_sim, threshold, a, b, until, ev,
+                      sim, st);
+  };
+}
+
+// The sequential engine: each pair runs all its rounds before the next
+// pair starts, growing signatures lazily through store->MatchCount.
+// `run_rounds` is BayesRoundLoop or LiteRoundLoop.
+template <typename Model, typename Store, typename RoundsFn>
+std::vector<ScoredPair> VerifyDepthFirst(
+    const Model& model, Store* store,
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, uint32_t budget,
+    const BayesLshParams& params, VerifyStats* stats,
+    const RoundsFn& run_rounds) {
+  assert(params.hashes_per_round > 0 &&
+         budget % params.hashes_per_round == 0);
+  InferenceCache<Model> cache(&model, params.hashes_per_round, budget,
+                              params.epsilon, params.delta, params.gamma);
+  VerifyStats local;
+  local.pairs_in = pairs.size();
+  local.surviving_after_round.assign(budget / params.hashes_per_round + 1,
+                                     0);
+  const auto match = [store](uint32_t a, uint32_t b, uint32_t from,
+                             uint32_t to) {
+    return store->MatchCount(a, b, from, to);
+  };
+  std::vector<ScoredPair> out;
+  for (const auto& [a, b] : pairs) {
+    PairEvidence ev;
+    double sim = 0.0;
+    if (run_rounds(cache, match, a, b, budget, &ev, &sim, &local) ==
+        PairVerdict::kAccepted) {
+      out.push_back({a, b, sim});
+    }
+  }
+  local.cache = cache.stats();
+  if (stats != nullptr) *stats = local;
+  return out;
 }
 
 }  // namespace internal
@@ -119,27 +176,9 @@ std::vector<ScoredPair> BayesLshVerify(
     const Model& model, Store* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
     const BayesLshParams& params, VerifyStats* stats) {
-  assert(params.hashes_per_round > 0 &&
-         params.max_hashes % params.hashes_per_round == 0);
-  const uint32_t rounds = params.max_hashes / params.hashes_per_round;
-
-  InferenceCache<Model> cache(&model, params.hashes_per_round,
-                              params.max_hashes, params.epsilon, params.delta,
-                              params.gamma);
-  VerifyStats local;
-  local.pairs_in = pairs.size();
-  local.surviving_after_round.assign(rounds + 1, 0);
-
-  std::vector<ScoredPair> out;
-  internal::BayesVerifyPairRange(
-      model, cache,
-      [store](uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-        return store->MatchCount(a, b, from, to);
-      },
-      pairs, 0, pairs.size(), &out, &local);
-  local.cache = cache.stats();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return internal::VerifyDepthFirst(
+      model, store, pairs, params.max_hashes, params, stats,
+      internal::BayesRoundLoop(model));
 }
 
 template <typename Model, typename Store>
@@ -149,27 +188,9 @@ std::vector<ScoredPair> BayesLshLiteVerify(
     uint32_t max_prune_hashes,
     const std::function<double(uint32_t, uint32_t)>& exact_sim,
     double threshold, const BayesLshParams& params, VerifyStats* stats) {
-  assert(params.hashes_per_round > 0 &&
-         max_prune_hashes % params.hashes_per_round == 0);
-  const uint32_t rounds = max_prune_hashes / params.hashes_per_round;
-
-  InferenceCache<Model> cache(&model, params.hashes_per_round,
-                              max_prune_hashes, params.epsilon,
-                              /*delta=*/params.delta, /*gamma=*/params.gamma);
-  VerifyStats local;
-  local.pairs_in = pairs.size();
-  local.surviving_after_round.assign(rounds + 1, 0);
-
-  std::vector<ScoredPair> out;
-  internal::LiteVerifyPairRange(
-      cache,
-      [store](uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-        return store->MatchCount(a, b, from, to);
-      },
-      exact_sim, threshold, pairs, 0, pairs.size(), &out, &local);
-  local.cache = cache.stats();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return internal::VerifyDepthFirst(
+      model, store, pairs, max_prune_hashes, params, stats,
+      internal::LiteRoundLoop(exact_sim, threshold));
 }
 
 }  // namespace bayeslsh

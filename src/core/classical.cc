@@ -19,8 +19,7 @@ std::vector<ScoredPair> ShardedVerify(
   ClassicalStats local;
   local.pairs_in = pairs.size();
   std::vector<ScoredPair> out;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
+  if (!internal::ShouldParallelize(pool, pairs)) {
     for (size_t i = 0; i < pairs.size(); ++i) verify(i, &out, &local);
   } else {
     const uint32_t num_shards = pool->num_threads();
@@ -67,13 +66,11 @@ std::vector<ScoredPair> MleVerifyCosine(
     BitSignatureStore* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
     uint32_t num_hashes, ClassicalStats* stats, ThreadPool* pool) {
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        pairs.size() >= kMinPairsPerShard * pool->num_threads();
+  const bool parallel = internal::ShouldParallelize(pool, pairs);
   if (parallel) {
     // Fixed verification depth: prefetching involved rows to num_hashes is
     // exactly what the sequential lazy path hashes, so the tally matches.
-    store->AddBitsComputed(
-        internal::PrefetchPairRows(store, pairs, num_hashes, pool));
+    internal::GrowPairRows(store, pairs, num_hashes, pool);
   }
   return ShardedVerify(
       pairs, parallel ? pool : nullptr, stats,
@@ -96,11 +93,9 @@ std::vector<ScoredPair> MleVerifyJaccard(
     IntSignatureStore* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
     uint32_t num_hashes, ClassicalStats* stats, ThreadPool* pool) {
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        pairs.size() >= kMinPairsPerShard * pool->num_threads();
+  const bool parallel = internal::ShouldParallelize(pool, pairs);
   if (parallel) {
-    store->AddHashesComputed(
-        internal::PrefetchPairRows(store, pairs, num_hashes, pool));
+    internal::GrowPairRows(store, pairs, num_hashes, pool);
   }
   return ShardedVerify(
       pairs, parallel ? pool : nullptr, stats,

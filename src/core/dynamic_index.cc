@@ -492,6 +492,11 @@ DynamicIndex::DynamicIndex(std::unique_ptr<PersistentIndex> base,
   im.serve_cfg.measure = im.base->measure();
   im.serve_cfg.threshold =
       cfg.threshold != 0.0 ? cfg.threshold : im.base->build_threshold();
+  // Euclidean: the delta hashes with the base's p-stable width, whatever
+  // radius is served.
+  if (im.measure == Measure::kEuclidean) {
+    im.serve_cfg.hash_radius = im.base->build_threshold();
+  }
   im.serve_cfg.exact_verification = cfg.exact_verification;
   im.serve_cfg.seed = im.base->seed();
   im.serve_cfg.bbit = im.base->bbit();

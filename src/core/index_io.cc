@@ -305,10 +305,8 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
       const auto gen_klsh = std::shared_ptr<const KlshHasher>(
           new KlshHasher(KlshHasher::FromAnchors(
               Dataset(*index->klsh_anchors_), index->kernel_.get(), kp)));
-      kp.seed = verify_seed;
       index->verify_klsh_ = std::shared_ptr<const KlshHasher>(
-          new KlshHasher(KlshHasher::FromAnchors(
-              Dataset(*index->klsh_anchors_), index->kernel_.get(), kp)));
+          new KlshHasher(gen_klsh->WithSeed(verify_seed)));
       gen_bits = std::make_shared<KlshChunkHasher>(gen_klsh,
                                                    index->klsh_cache_, &d);
       index->bits_ = std::make_unique<BitSignatureStore>(

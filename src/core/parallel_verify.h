@@ -1,35 +1,46 @@
-// Sharded candidate verification: the parallel drivers for the BayesLSH /
-// BayesLSH-Lite engines of core/bayes_lsh.h.
+// Level-synchronous parallel verification: the multi-threaded drivers for
+// the BayesLSH / BayesLSH-Lite engines of core/bayes_lsh.h.
 //
-// Strategy (docs/ARCHITECTURE.md, "Concurrency model"):
+// The sequential engines verify depth-first: each pair runs all of its
+// rounds, growing its endpoints' signatures lazily, before the next pair
+// starts. The parallel drivers instead advance every open pair together,
+// one signature chunk at a time (docs/ARCHITECTURE.md, "Where the
+// parallelism lives"). Each level has two phases:
 //
-//   1. Prefetch: every row appearing in the candidate list is grown to the
-//      prefetch horizon (one signature chunk — enough for the first
-//      rounds, where the vast majority of candidates die), in parallel
-//      over disjoint row ranges.
-//   2. Shard: the candidate list is statically partitioned into one
-//      contiguous shard per worker. Each worker owns a private
-//      InferenceCache (memoization is per-shard) and a private overflow
-//      store for the rare pairs that outlive the horizon, and runs the
-//      same per-pair loop as the sequential engine.
-//   3. Merge: per-shard outputs are concatenated in shard order — which
-//      *is* candidate order, since shards are contiguous ranges of the
-//      input — and per-shard stats are summed. Overflow hashing work is
-//      folded into the shared store's tally.
+//   1. Grow. The horizon moves to the next chunk boundary that covers at
+//      least one more round (one 64-bit chunk = two rounds for SRP; for
+//      16-int minwise chunks a round spans two chunks). The rows of the
+//      pairs still open are collected once each with a per-row mark array
+//      and grown to the horizon in parallel, workers claiming small
+//      batches of rows (EnsureRowUncounted — distinct rows touch distinct
+//      vectors, so no locks).
+//   2. Verify. Growth pauses; every open pair runs the rounds that end at
+//      or before the horizon, statically sharded over the pool, reading
+//      signatures with MatchCountReadOnly. Each worker keeps one
+//      InferenceCache across all levels. A pair is pruned, accepted (Lite:
+//      scored exactly once its pruning budget is spent) or carried to the
+//      next level as (candidate index, m) — every open pair has compared
+//      the same number of hashes, so n is implicit.
+//
+// Level 0 reads the candidate list directly, so the majority of pairs that
+// die in the first rounds never get per-pair state. Accepted pairs are put
+// back into candidate order at the end.
 //
 // Results are bit-identical to the sequential engines for any thread
-// count: hash values are pure functions of (hasher, row, chunk), each
-// pair's verdict depends only on its own match counts, and the merge
-// preserves input order. The only quantities that legitimately vary with
-// the thread count are cache hit/miss counters and the hashing tally's
-// overflow component (bounded by cross-shard duplication of overflow
-// rows).
+// count: hash values are pure functions of (hasher, row, chunk) and each
+// pair's verdict depends only on its own match counts. The hashing tally
+// is identical too: a row is grown to a level's horizon only when a pair
+// using it runs a round in that level, which is exactly the chunk the
+// depth-first engine's lazy growth reaches for that round. Only the
+// inference-cache hit/miss counters vary with the thread count.
 
 #ifndef BAYESLSH_CORE_PARALLEL_VERIFY_H_
 #define BAYESLSH_CORE_PARALLEL_VERIFY_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,64 +49,76 @@
 
 namespace bayeslsh {
 
-// Below this many candidates per worker, sharding costs more than it saves
-// and the sequential engine is used directly.
+// Below this many pairs per worker, sharding verification costs more than
+// it saves and the work runs on the calling thread.
 inline constexpr uint64_t kMinPairsPerShard = 64;
 
 namespace internal {
 
-// Smallest chunk-aligned hash count covering one verification round.
+// Collects the distinct rows of a set of pairs with a per-row mark array
+// and grows them in parallel. Rows are kept in first-appearance order; the
+// marks are cleared again by Grow, so one collector serves many rounds.
 template <typename Store>
-uint32_t PrefetchHorizon(uint32_t hashes_per_round) {
-  const uint32_t chunk = Store::kChunkHashes;
-  return (hashes_per_round + chunk - 1) / chunk * chunk;
-}
+class PairRowGrower {
+ public:
+  explicit PairRowGrower(Store* store)
+      : store_(store), marked_(store->num_rows(), 0) {}
 
-// Store-generic adapters over the bit/int method names.
-inline uint64_t EnsureUncounted(BitSignatureStore* s, uint32_t row,
-                                uint32_t n) {
-  return s->EnsureBitsUncounted(row, n);
-}
-inline uint64_t EnsureUncounted(IntSignatureStore* s, uint32_t row,
-                                uint32_t n) {
-  return s->EnsureHashesUncounted(row, n);
-}
-inline void AddComputed(BitSignatureStore* s, uint64_t n) {
-  s->AddBitsComputed(n);
-}
-inline void AddComputed(IntSignatureStore* s, uint64_t n) {
-  s->AddHashesComputed(n);
-}
-
-// Grows every row referenced by `pairs` to `horizon` hashes, sharded over
-// the distinct-row list. Returns the total hashing work done (the caller
-// folds it into the store's tally).
-template <typename Store>
-uint64_t PrefetchPairRows(
-    Store* store, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    uint32_t horizon, ThreadPool* pool) {
-  std::vector<uint32_t> rows;
-  rows.reserve(pairs.size() * 2);
-  for (const auto& [a, b] : pairs) {
-    rows.push_back(a);
-    rows.push_back(b);
+  void Add(uint32_t a, uint32_t b) {
+    Mark(a);
+    Mark(b);
   }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return ParallelReduce(
-      pool, rows.size(), uint64_t{0},
-      [&](uint32_t, uint64_t b, uint64_t e) {
-        uint64_t work = 0;
-        for (uint64_t i = b; i < e; ++i) {
-          work += EnsureUncounted(store, rows[i], horizon);
-        }
-        return work;
-      },
-      [](uint64_t x, uint64_t y) { return x + y; });
+
+  // Grows every added row to at least n hashes on `pool` (a chunk costs
+  // tens of microseconds per row, so even a few rows are worth a
+  // fork-join), and forgets the rows. A row's cost follows its length, so
+  // workers claim small batches rather than static shards; which worker
+  // grows a row does not change its hashes. Returns the hashing work done;
+  // the caller merges it into the store's tally with AddComputed.
+  uint64_t Grow(uint32_t n, ThreadPool* pool) {
+    for (const uint32_t row : rows_) marked_[row] = 0;
+    constexpr uint64_t kBatch = 4;
+    std::atomic<uint64_t> next{0};
+    const uint64_t work = ParallelWorkSum(
+        pool, pool->num_threads(), [&](uint64_t) {
+          uint64_t done = 0;
+          for (uint64_t i; (i = next.fetch_add(kBatch)) < rows_.size();) {
+            const uint64_t end = std::min<uint64_t>(i + kBatch, rows_.size());
+            for (; i < end; ++i) {
+              done += store_->EnsureRowUncounted(rows_[i], n);
+            }
+          }
+          return done;
+        });
+    rows_.clear();
+    return work;
+  }
+
+ private:
+  void Mark(uint32_t row) {
+    if (marked_[row] == 0) {
+      marked_[row] = 1;
+      rows_.push_back(row);
+    }
+  }
+
+  Store* store_;
+  std::vector<uint8_t> marked_;
+  std::vector<uint32_t> rows_;
+};
+
+// Grows every row referenced by `pairs` to n hashes on `pool` and merges
+// the work into the store's tally (the fixed-depth classical verifiers).
+template <typename Store>
+void GrowPairRows(Store* store,
+                  const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+                  uint32_t n, ThreadPool* pool) {
+  PairRowGrower<Store> grower(store);
+  for (const auto& [a, b] : pairs) grower.Add(a, b);
+  store->AddComputed(grower.Grow(n, pool));
 }
 
-// Sums `from` into `into` (surviving_after_round element-wise; `from` may
-// be empty for shards that received no pairs).
+// Sums `from` into `into` (surviving_after_round element-wise).
 inline void MergeVerifyStats(VerifyStats* into, const VerifyStats& from) {
   into->accepted += from.accepted;
   into->pruned += from.pruned;
@@ -103,101 +126,151 @@ inline void MergeVerifyStats(VerifyStats* into, const VerifyStats& from) {
   into->exact_computed += from.exact_computed;
   into->hashes_compared += from.hashes_compared;
   for (size_t r = 0; r < from.surviving_after_round.size(); ++r) {
-    if (r >= into->surviving_after_round.size()) {
-      into->surviving_after_round.resize(r + 1, 0);
-    }
     into->surviving_after_round[r] += from.surviving_after_round[r];
   }
   into->cache.concentration_hits += from.cache.concentration_hits;
   into->cache.concentration_misses += from.cache.concentration_misses;
 }
 
-// Shared prefetch/shard/merge scaffolding of the two parallel drivers
-// below. `run_range(cache, match, begin, end, &out, &stats)` runs the
-// engine-specific per-pair loop over one shard; everything else — the
-// prefetch, per-shard cache + overflow construction, and the
-// order-preserving merge — is engine-independent.
-template <typename Model, typename Store, typename RangeFn>
-std::vector<ScoredPair> ShardedVerifyDriver(
+// The level-synchronous driver (see the header comment). `run_rounds` is
+// BayesRoundLoop or LiteRoundLoop (core/bayes_lsh_impl.h).
+template <typename Model, typename Store, typename RoundsFn>
+std::vector<ScoredPair> VerifyLevelSynchronous(
     const Model& model, Store* store,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    uint32_t cache_budget, const BayesLshParams& params, ThreadPool* pool,
-    VerifyStats* stats, const RangeFn& run_range) {
-  assert(params.hashes_per_round > 0 &&
-         cache_budget % params.hashes_per_round == 0);
-  const uint32_t rounds = cache_budget / params.hashes_per_round;
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, uint32_t budget,
+    const BayesLshParams& params, ThreadPool* pool, VerifyStats* stats,
+    const RoundsFn& run_rounds) {
+  const uint32_t k = params.hashes_per_round;
+  assert(k > 0 && budget % k == 0);
+  const uint32_t chunk = store->chunk_hashes();
 
-  const uint64_t prefetched = PrefetchPairRows(
-      store, pairs, PrefetchHorizon<Store>(params.hashes_per_round), pool);
-  AddComputed(store, prefetched);
-
-  const uint32_t num_shards = pool->num_threads();
-  struct Shard {
-    std::vector<ScoredPair> out;
-    VerifyStats stats;
-    uint64_t overflow_work = 0;
+  // A pair carried to the next level: its candidate index and matches.
+  struct OpenPair {
+    uint64_t idx;
+    uint32_t m;
   };
-  std::vector<Shard> shards(num_shards);
-  pool->RunShards(pairs.size(), [&](uint32_t s, uint64_t begin,
-                                    uint64_t end) {
-    Shard& shard = shards[s];
-    shard.stats.surviving_after_round.assign(rounds + 1, 0);
-    InferenceCache<Model> cache(&model, params.hashes_per_round,
-                                cache_budget, params.epsilon, params.delta,
-                                params.gamma);
-    typename Store::OverflowShard overflow(store);
-    run_range(
-        cache,
-        [&overflow](uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-          return overflow.MatchCount(a, b, from, to);
-        },
-        begin, end, &shard.out, &shard.stats);
-    shard.stats.cache = cache.stats();
-    shard.overflow_work = overflow.computed();
-  });
+  struct alignas(64) Worker {  // Own cache lines: workers write these.
+    std::optional<InferenceCache<Model>> cache;
+    VerifyStats stats;
+    std::vector<OpenPair> open;
+    std::vector<std::pair<uint64_t, ScoredPair>> accepted;
+  };
+  std::vector<Worker> workers(pool->num_threads());
+  for (Worker& w : workers) {
+    w.stats.surviving_after_round.assign(budget / k + 1, 0);
+  }
+  const auto match = [store](uint32_t a, uint32_t b, uint32_t from,
+                             uint32_t to) {
+    return store->MatchCountReadOnly(a, b, from, to);
+  };
 
-  std::vector<ScoredPair> out;
+  PairRowGrower<Store> grower(store);
+  std::vector<OpenPair> open;
+  uint64_t grown = 0;
+  uint32_t done = 0;  // Hashes every open pair has compared.
+  for (bool first = true; first || !open.empty(); first = false) {
+    // Rounds ending at or before the next chunk boundary past one round.
+    const uint32_t horizon = (done + k + chunk - 1) / chunk * chunk;
+    const uint32_t until = std::min(horizon / k * k, budget);
+
+    if (first) {
+      for (const auto& [a, b] : pairs) grower.Add(a, b);
+    } else {
+      for (const OpenPair& o : open) {
+        grower.Add(pairs[o.idx].first, pairs[o.idx].second);
+      }
+    }
+    grown += grower.Grow(until, pool);
+
+    const uint64_t count = first ? pairs.size() : open.size();
+    const auto verify = [&](uint32_t s, uint64_t begin, uint64_t end) {
+      Worker& w = workers[s];
+      if (!w.cache) {
+        w.cache.emplace(&model, k, budget, params.epsilon, params.delta,
+                        params.gamma);
+      }
+      for (uint64_t i = begin; i < end; ++i) {
+        const uint64_t idx = first ? i : open[i].idx;
+        const auto& [a, b] = pairs[idx];
+        PairEvidence ev{first ? 0 : open[i].m, done};
+        double sim = 0.0;
+        switch (run_rounds(*w.cache, match, a, b, until, &ev, &sim,
+                           &w.stats)) {
+          case PairVerdict::kOpen:
+            w.open.push_back({idx, ev.m});
+            break;
+          case PairVerdict::kAccepted:
+            w.accepted.push_back({idx, {a, b, sim}});
+            break;
+          default:
+            break;
+        }
+      }
+    };
+    if (count < kMinPairsPerShard * pool->num_threads()) {
+      verify(0, 0, count);
+    } else {
+      pool->RunShards(count, verify);
+    }
+    // Shards are contiguous ranges: concatenation keeps candidate order.
+    open.clear();
+    for (Worker& w : workers) {
+      open.insert(open.end(), w.open.begin(), w.open.end());
+      w.open.clear();
+    }
+    done = until;
+  }
+  store->AddComputed(grown);
+
+  std::vector<std::pair<uint64_t, ScoredPair>> accepted;
   VerifyStats merged;
   merged.pairs_in = pairs.size();
-  merged.surviving_after_round.assign(rounds + 1, 0);
-  uint64_t overflow_total = 0;
-  for (Shard& shard : shards) {
-    out.insert(out.end(), shard.out.begin(), shard.out.end());
-    MergeVerifyStats(&merged, shard.stats);
-    overflow_total += shard.overflow_work;
+  merged.surviving_after_round.assign(budget / k + 1, 0);
+  for (Worker& w : workers) {
+    accepted.insert(accepted.end(), w.accepted.begin(), w.accepted.end());
+    if (w.cache) w.stats.cache = w.cache->stats();
+    MergeVerifyStats(&merged, w.stats);
   }
-  AddComputed(store, overflow_total);
+  std::sort(accepted.begin(), accepted.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<ScoredPair> out;
+  out.reserve(accepted.size());
+  for (const auto& entry : accepted) out.push_back(entry.second);
   if (stats != nullptr) *stats = merged;
   return out;
 }
 
+// True when `pairs` is long enough to shard over `pool`.
+inline bool ShouldParallelize(
+    const ThreadPool* pool,
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
+  return pool != nullptr && pool->num_threads() > 1 &&
+         pairs.size() >= kMinPairsPerShard * pool->num_threads();
+}
+
 }  // namespace internal
 
-// BayesLSH (Algorithm 1), sharded across `pool`. Falls back to the
-// sequential BayesLshVerify when the pool is null/single-threaded or the
-// candidate list is too small to shard profitably. Output is identical to
-// the sequential engine (same pairs, same estimates, same order).
+// BayesLSH (Algorithm 1), level-synchronous across `pool`. Falls back to
+// the sequential BayesLshVerify when the pool is null/single-threaded or
+// the candidate list is too small to shard profitably. Output, VerifyStats
+// (except cache hit/miss counts) and the store's hashing tally are
+// identical to the sequential engine's.
 template <typename Model, typename Store>
 std::vector<ScoredPair> BayesLshVerifyParallel(
     const Model& model, Store* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
     const BayesLshParams& params, ThreadPool* pool,
     VerifyStats* stats = nullptr) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
+  if (!internal::ShouldParallelize(pool, pairs)) {
     return BayesLshVerify(model, store, pairs, params, stats);
   }
-  return internal::ShardedVerifyDriver(
+  return internal::VerifyLevelSynchronous(
       model, store, pairs, params.max_hashes, params, pool, stats,
-      [&](InferenceCache<Model>& cache, const auto& match, uint64_t begin,
-          uint64_t end, std::vector<ScoredPair>* out, VerifyStats* st) {
-        internal::BayesVerifyPairRange(model, cache, match, pairs, begin,
-                                       end, out, st);
-      });
+      internal::BayesRoundLoop(model));
 }
 
-// BayesLSH-Lite (Algorithm 2), sharded across `pool`. exact_sim must be
-// safe to call concurrently (it only reads the dataset).
+// BayesLSH-Lite (Algorithm 2), level-synchronous across `pool`. exact_sim
+// must be safe to call concurrently (it only reads the dataset).
 template <typename Model, typename Store, typename ExactFn>
 std::vector<ScoredPair> BayesLshLiteVerifyParallel(
     const Model& model, Store* store,
@@ -205,18 +278,13 @@ std::vector<ScoredPair> BayesLshLiteVerifyParallel(
     uint32_t max_prune_hashes, const ExactFn& exact_sim, double threshold,
     const BayesLshParams& params, ThreadPool* pool,
     VerifyStats* stats = nullptr) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
+  if (!internal::ShouldParallelize(pool, pairs)) {
     return BayesLshLiteVerify(model, store, pairs, max_prune_hashes,
                               exact_sim, threshold, params, stats);
   }
-  return internal::ShardedVerifyDriver(
+  return internal::VerifyLevelSynchronous(
       model, store, pairs, max_prune_hashes, params, pool, stats,
-      [&](InferenceCache<Model>& cache, const auto& match, uint64_t begin,
-          uint64_t end, std::vector<ScoredPair>* out, VerifyStats* st) {
-        internal::LiteVerifyPairRange(cache, match, exact_sim, threshold,
-                                      pairs, begin, end, out, st);
-      });
+      internal::LiteRoundLoop(exact_sim, threshold));
 }
 
 }  // namespace bayeslsh

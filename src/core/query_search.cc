@@ -664,6 +664,10 @@ void QuerySearcher::Impl::Init(const Dataset* d,
         "QuerySearchConfig: the Euclidean threshold is a radius and must "
         "be > 0");
   }
+  if (euclidean && !(config.hash_radius >= 0.0)) {
+    throw std::invalid_argument(
+        "QuerySearchConfig: the Euclidean hash radius must be >= 0");
+  }
   // Euclidean serving always verifies survivors exactly: the posterior
   // estimates collision rates, not distances, and the contract is "rows
   // within the radius" (query_search.h). Forced before ServeBudget() is
@@ -743,15 +747,12 @@ void QuerySearcher::Impl::Init(const Dataset* d,
                  std::bit_cast<uint64_t>(config.kernel.gamma));
       fp = Mix64(fp, kp.subset_size, static_cast<uint64_t>(kp.direction));
       fp = FoldDataset(fp, gen_anchors);
-      Dataset verify_anchors = gen_anchors;
       kp.seed = gen_seed;
       fam->gen_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
           KlshHasher::FromAnchors(std::move(gen_anchors), fam->kernel.get(),
                                   kp)));
-      kp.seed = verify_seed;
-      fam->verify_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
-          KlshHasher::FromAnchors(std::move(verify_anchors),
-                                  fam->kernel.get(), kp)));
+      fam->verify_klsh = std::shared_ptr<const KlshHasher>(
+          new KlshHasher(fam->gen_klsh->WithSeed(verify_seed)));
       fam->gen_bits =
           std::make_shared<KlshChunkHasher>(fam->gen_klsh, klsh_cache, d);
       fam->verify_bits =
@@ -794,8 +795,12 @@ void QuerySearcher::Impl::Init(const Dataset* d,
     case Measure::kEuclidean: {
       // Serving-stack width convention w = 2 * radius — the same one
       // ResolveBandingShape assumed above, making the collision
-      // probability at the radius a scale-free constant.
-      const double width = 2.0 * config.threshold;
+      // probability at the radius a scale-free constant. The radius is
+      // the one the hashes were built for; the serving radius only sets
+      // the posterior's threshold and the exact filter.
+      const double width =
+          2.0 * (config.hash_radius > 0.0 ? config.hash_radius
+                                          : config.threshold);
       fp = Mix64(fp, std::bit_cast<uint64_t>(width));
       euc_model.emplace(
           EuclideanPosterior::MakeForRadius(config.threshold, width));
@@ -889,6 +894,14 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   QuerySearchConfig cfg2 = config;
   cfg2.banding.hashes_per_band = index->hashes_per_band();
   cfg2.banding.num_bands = index->num_bands();
+  if (index->measure() == Measure::kEuclidean) {
+    if (config.hash_radius != 0.0 &&
+        config.hash_radius != index->build_threshold()) {
+      throw IndexError("QuerySearcher: explicit hash radius does not match "
+                       "the index");
+    }
+    cfg2.hash_radius = index->build_threshold();
+  }
   if (index->measure() == Measure::kKernelCosine) {
     cfg2.kernel = index->kernel_spec();
     cfg2.klsh = index->klsh_params();

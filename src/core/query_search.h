@@ -71,6 +71,14 @@ struct QuerySearchConfig {
   // exactly, so exact_verification is implied.
   double threshold = 0.7;
 
+  // kEuclidean only: the radius r the p-stable hash families are built
+  // for (bucket width w = 2r); 0 means `threshold`. Signatures and buckets
+  // are pure functions of (seed, w), so a searcher warm-started from an
+  // index takes the index's build radius, and a DynamicIndex hashes its
+  // delta segment the same way: an index built at one radius serves any
+  // other with the hashes it was built with.
+  double hash_radius = 0.0;
+
   // Verification: BayesLSH estimation by default; exact verification of
   // unpruned candidates (the Lite behaviour) if true.
   bool exact_verification = false;
@@ -145,11 +153,13 @@ struct QueryStats {
   uint64_t ghost_candidates = 0;
 
   // Sharded-serving robustness counters (core/sharded_index.h). A plain
-  // QuerySearcher / DynamicIndex never sets these; ShardedIndex adds, per
-  // fan-out call: shards_total += K, shards_answered += the shards whose
-  // sub-results made it into the merge, deadline_expired += 1 when the
+  // QuerySearcher / DynamicIndex never sets these; ShardedIndex reports,
+  // per fan-out call: shards_total = K, shards_answered = the shards whose
+  // sub-results made it into the merge, deadline_expired = 1 when the
   // query's deadline cut the fan-out short (a *partial* answer), and the
   // serve front-end adds rejected_overload += 1 per admission rejection.
+  // Like every serving call, a ShardedIndex call overwrites the stats it
+  // is given; MergeFrom folds calls together.
   // shards_answered < shards_total is the degradation signal: the result
   // is exact over the answered shards and silent about the rest.
   uint64_t shards_total = 0;

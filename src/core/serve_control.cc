@@ -153,10 +153,12 @@ void CircuitBreaker::RecordFailure(double now_seconds) {
     // Failed probe: straight back to open with a fresh backoff.
     state_ = BreakerState::kOpen;
     opened_at_ = now_seconds;
+    ++times_opened_;
     probe_in_flight_ = false;
     return;
   }
   if (failures_ >= cfg_.failure_threshold) {
+    if (state_ != BreakerState::kOpen) ++times_opened_;
     state_ = BreakerState::kOpen;
     opened_at_ = now_seconds;
   }
@@ -179,6 +181,11 @@ BreakerState CircuitBreaker::state(double now_seconds) const {
 uint32_t CircuitBreaker::consecutive_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return failures_;
+}
+
+uint32_t CircuitBreaker::times_opened() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return times_opened_;
 }
 
 // ---------------------------------------------------------------------------

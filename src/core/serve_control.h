@@ -197,11 +197,16 @@ class CircuitBreaker {
   BreakerState state(double now_seconds) const;
   uint32_t consecutive_failures() const;
 
+  // How many times the breaker has moved to open (a failed half-open probe
+  // counts again). Unlike state(), it does not depend on the clock.
+  uint32_t times_opened() const;
+
  private:
   BreakerConfig cfg_;
   mutable std::mutex mu_;
   BreakerState state_ = BreakerState::kClosed;
   uint32_t failures_ = 0;
+  uint32_t times_opened_ = 0;
   double opened_at_ = 0.0;
   bool probe_in_flight_ = false;
 };

@@ -250,6 +250,7 @@ struct ShardedIndex::Impl {
                                               size_t num_queries,
                                               const ServeOptions& opts,
                                               QueryStats* stats) const {
+    if (stats != nullptr) *stats = QueryStats{};
     const uint32_t top_k = request.top_k;
     const uint32_t K = static_cast<uint32_t>(shards.size());
     const auto start = SteadyClock::now();
@@ -522,8 +523,9 @@ std::vector<QueryMatch> ShardedIndex::Query(const SparseVectorView& q,
                                             const ServeOptions& opts) const {
   impl_->Prewake();
   const QuerySketch sketch = Sketch(q);
+  std::vector<QueryMatch> out = Query(sketch, stats, opts);
   if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
-  return Query(sketch, stats, opts);
+  return out;
 }
 
 std::vector<QueryMatch> ShardedIndex::Query(const QuerySketch& sketch,
@@ -542,8 +544,9 @@ std::vector<QueryMatch> ShardedIndex::QueryTopK(const SparseVectorView& q,
   if (k == 0) return {};
   impl_->Prewake();
   const QuerySketch sketch = Sketch(q);
+  std::vector<QueryMatch> out = QueryTopK(sketch, k, stats, opts);
   if (stats != nullptr) stats->query_gen_chunks += sketch.gen_chunks();
-  return QueryTopK(sketch, k, stats, opts);
+  return out;
 }
 
 std::vector<QueryMatch> ShardedIndex::QueryTopK(const QuerySketch& sketch,
@@ -610,6 +613,7 @@ ShardState ShardedIndex::shard_state(uint32_t shard) const {
   ShardState state;
   state.breaker = s.breaker->state(impl_->NowSeconds());
   state.consecutive_failures = s.breaker->consecutive_failures();
+  state.times_opened = s.breaker->times_opened();
   state.num_live = s.dyn->num_live();
   return state;
 }

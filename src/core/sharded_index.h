@@ -127,6 +127,7 @@ struct ServeOptions {
 struct ShardState {
   BreakerState breaker = BreakerState::kClosed;
   uint32_t consecutive_failures = 0;
+  uint32_t times_opened = 0;  // See CircuitBreaker::times_opened.
   uint32_t num_live = 0;  // Live logical ids routed to this shard.
 };
 
@@ -161,9 +162,10 @@ class ShardedIndex {
   // Fan-out threshold query: all live rows x with s(x, q) >= threshold
   // across answered shards, merged (sim desc, ties by ascending logical
   // id) — identical to a single unsharded index when all K shards
-  // answer. stats (when given) receives the merged shard stats plus the
-  // robustness counters (QueryStats: shards_total/shards_answered/
-  // deadline_expired).
+  // answer. stats (when given) is overwritten with this call's merged
+  // shard stats plus the robustness counters (QueryStats: shards_total/
+  // shards_answered/deadline_expired), as every serving layer does; fold
+  // calls together with QueryStats::MergeFrom.
   // Query(q) hashes q once, on the calling (router) thread, into a
   // sketch (core/query_sketch.h) and fans the sketch out:
   // stats->query_gen_chunks gains one sketch's banding chunks, whatever K.

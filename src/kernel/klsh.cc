@@ -60,7 +60,19 @@ KlshHasher::KlshHasher(AnchorsTag, Dataset anchors, const Kernel* kernel,
       k.at(j, i) = v;
     }
   }
-  k_inv_sqrt_ = SymmetricInverseSqrt(k);
+  k_inv_sqrt_ = std::make_shared<const DenseMatrix>(SymmetricInverseSqrt(k));
+}
+
+KlshHasher::KlshHasher(const KlshHasher& other, uint64_t seed)
+    : kernel_(other.kernel_),
+      params_(other.params_),
+      anchors_(other.anchors_),
+      k_inv_sqrt_(other.k_inv_sqrt_) {
+  params_.seed = seed;
+}
+
+KlshHasher KlshHasher::WithSeed(uint64_t seed) const {
+  return KlshHasher(*this, seed);
 }
 
 std::vector<double> KlshHasher::AnchorKernelRow(
@@ -101,7 +113,7 @@ const DenseMatrix& KlshHasher::WeightSlab(uint32_t chunk) const {
         }
       }
       // w = K^{-1/2} z, written into column j.
-      const std::vector<double> w = MatVec(k_inv_sqrt_, z);
+      const std::vector<double> w = MatVec(*k_inv_sqrt_, z);
       for (uint32_t i = 0; i < p; ++i) slab->at(i, j) = w[i];
     }
     slabs_[chunk] = std::move(slab);

@@ -105,6 +105,13 @@ class KlshHasher {
   static KlshHasher FromAnchors(Dataset anchors, const Kernel* kernel,
                                 KlshParams params);
 
+  // The hasher over the same anchors and kernel with params.seed = seed.
+  // It shares this hasher's K^{-1/2} factor (a function of anchors and
+  // kernel only) instead of factorizing again, so a generation /
+  // verification pair costs one factorization; its hashes equal those of
+  // FromAnchors(anchors(), &kernel(), params() with that seed).
+  KlshHasher WithSeed(uint64_t seed) const;
+
   uint32_t num_anchors() const { return anchors_.num_vectors(); }
   const Dataset& anchors() const { return anchors_; }
   const Kernel& kernel() const { return *kernel_; }
@@ -128,11 +135,13 @@ class KlshHasher {
   struct AnchorsTag {};
   KlshHasher(AnchorsTag, Dataset anchors, const Kernel* kernel,
              KlshParams params);
+  KlshHasher(const KlshHasher& other, uint64_t seed);
 
   const Kernel* kernel_;
   KlshParams params_;
   Dataset anchors_;
-  DenseMatrix k_inv_sqrt_;  // K^{-1/2} over the anchors.
+  // K^{-1/2} over the anchors; shared by every WithSeed sibling.
+  std::shared_ptr<const DenseMatrix> k_inv_sqrt_;
   mutable std::mutex slab_mu_;
   mutable std::vector<std::unique_ptr<DenseMatrix>> slabs_;
 };

@@ -84,10 +84,7 @@ uint32_t BbitSignatureStore::HashValue(uint32_t row, uint32_t j) const {
 
 uint32_t BbitSignatureStore::MatchCount(uint32_t a, uint32_t b, uint32_t from,
                                         uint32_t to) {
-  if (frozen()) {
-    assert(NumHashes(a) >= to && NumHashes(b) >= to);
-    return MatchingBbitGroups(Words(a), Words(b), from, to, bits_per_hash_);
-  }
+  if (frozen()) return MatchCountReadOnly(a, b, from, to);
   EnsureHashes(a, to);
   EnsureHashes(b, to);
   return MatchingBbitGroups(Words(a), Words(b), from, to, bits_per_hash_);

@@ -138,7 +138,7 @@ class BbitSignatureStore final : public SignatureStoreBase {
 
   // EnsureHashes without touching the shared hashes_computed() tally;
   // returns the underlying minwise hashes newly computed. Safe to call
-  // concurrently for distinct rows (the two-phase prefetch protocol of
+  // concurrently for distinct rows (the two-phase growth protocol of
   // lsh/signature_store.h); merge the returned work with
   // AddHashesComputed() after the join (zero merges are dropped and the
   // tally is a relaxed atomic, as for the full-width stores).
@@ -193,6 +193,14 @@ class BbitSignatureStore final : public SignatureStoreBase {
   // growing both signatures as needed. On a frozen store this takes the
   // lock-free read-only fast path (both rows must already cover `to`).
   uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
+
+  // Read-only MatchCount: requires both rows already grown to `to` hashes.
+  // Safe to call concurrently while no thread is growing the store.
+  uint32_t MatchCountReadOnly(uint32_t a, uint32_t b, uint32_t from,
+                              uint32_t to) const {
+    assert(NumHashes(a) >= to && NumHashes(b) >= to);
+    return MatchingBbitGroups(Words(a), Words(b), from, to, bits_per_hash_);
+  }
 
   // See BitSignatureStore::AdoptWords (lsh/signature_store.h): replaces
   // row's packed signature with a longer already-computed copy without

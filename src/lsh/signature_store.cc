@@ -308,17 +308,6 @@ void BitOverflowShard::MergeInto(BitSignatureStore* store) {
   rows_.clear();
 }
 
-uint32_t BitOverflowShard::MatchCount(uint32_t a, uint32_t b, uint32_t from,
-                                      uint32_t to) {
-  assert(from <= to);
-  if (to <= base_->NumBits(a) && to <= base_->NumBits(b)) {
-    return base_->MatchCountReadOnly(a, b, from, to);
-  }
-  const std::vector<uint64_t>& wa = Row(a, to);
-  const std::vector<uint64_t>& wb = Row(b, to);
-  return MatchingBits(wa.data(), wb.data(), from, to);
-}
-
 const std::vector<uint32_t>& IntOverflowShard::Row(uint32_t row,
                                                    uint32_t n_hashes) {
   auto& h = rows_[row];
@@ -353,17 +342,6 @@ void IntOverflowShard::MergeInto(IntSignatureStore* store) {
     store->AdoptHashes(row, std::move(hashes));
   }
   rows_.clear();
-}
-
-uint32_t IntOverflowShard::MatchCount(uint32_t a, uint32_t b, uint32_t from,
-                                      uint32_t to) {
-  assert(from <= to);
-  if (to <= base_->NumHashes(a) && to <= base_->NumHashes(b)) {
-    return base_->MatchCountReadOnly(a, b, from, to);
-  }
-  const std::vector<uint32_t>& ha = Row(a, to);
-  const std::vector<uint32_t>& hb = Row(b, to);
-  return CountIntMatches(ha.data(), hb.data(), from, to);
 }
 
 }  // namespace bayeslsh

@@ -16,24 +16,26 @@
 //    safe; the bulk-growth APIs (EnsureBits / EnsureAllBits / MatchCount)
 //    remain single-threaded unless the caller coordinates.
 //
-// 2. Two-phase sharded verification:
+// 2. Two-phase growth, for parallel verification:
 //
-//   Phase A (prefetch) — workers grow disjoint row ranges via
-//     EnsureBitsUncounted / EnsureHashesUncounted (distinct rows touch
-//     distinct vectors, so no synchronization is needed), accumulate the
-//     hashing work privately, and the coordinator merges it with
-//     AddBitsComputed / AddHashesComputed. A coordinator that shares the
-//     store with concurrent serving threads must hold GrowthLock() across
-//     both phases.
+//   Grow — workers grow disjoint row ranges via EnsureBitsUncounted /
+//     EnsureHashesUncounted (distinct rows touch distinct vectors, so no
+//     synchronization is needed), accumulate the hashing work privately,
+//     and the coordinator merges it with AddBitsComputed /
+//     AddHashesComputed. A coordinator that shares the store with
+//     concurrent serving threads must hold GrowthLock() across both
+//     phases.
 //
-//   Phase B (verify) — growth pauses; workers use the read-only
-//     MatchCountReadOnly against the prefetched signatures, and route the
-//     rare pairs that outlive the prefetch horizon through a private
-//     BitOverflowShard / IntOverflowShard, which extends copies of the
-//     shared rows locally. Overflow hashing is merged into the shared
-//     tally after the join, so the "hash only as much as needed"
-//     accounting stays intact up to cross-shard duplication of overflow
-//     rows (the documented prefetch-horizon slack).
+//   Verify — growth pauses; workers use the read-only MatchCountReadOnly
+//     against the grown signatures.
+//
+//   The self-join's parallel verifier (core/parallel_verify.h) alternates
+//   the two phases once per signature chunk, growing only the rows of the
+//   pairs still open, so its hashing tally equals the sequential engine's
+//   for every thread count. Within one query, QuerySearcher grows one
+//   chunk and routes the rare deeper candidates through a private
+//   BitOverflowShard / IntOverflowShard, which extends copies of the
+//   shared rows locally and is merged back afterwards.
 //
 // 3. Frozen (immutable-once-published serving). After every row is grown
 //    to the largest depth any future lookup can request, Freeze() makes
@@ -74,9 +76,6 @@ class BitSignatureStore final : public SignatureStoreBase {
  public:
   // Hashes per lazily grown chunk.
   static constexpr uint32_t kChunkHashes = static_cast<uint32_t>(kBitsPerWord);
-
-  // The per-shard overflow view of this store (see header comment).
-  using OverflowShard = BitOverflowShard;
 
   // Both referents must outlive the store.
   BitSignatureStore(const Dataset* data, SrpHasher hasher);
@@ -284,8 +283,6 @@ class IntSignatureStore final : public SignatureStoreBase {
   // hasher->chunk_ints() (see chunk_hashes()).
   static constexpr uint32_t kChunkHashes = kMinhashChunkInts;
 
-  using OverflowShard = IntOverflowShard;
-
   IntSignatureStore(const Dataset* data, MinwiseHasher hasher);
 
   // Generalized form: signatures come from any int-chunk hash family; the
@@ -402,21 +399,19 @@ class IntSignatureStore final : public SignatureStoreBase {
   std::mutex growth_mu_;  // Serving-path growth (see MatchAgainstQuery).
 };
 
-// --- per-shard overflow stores (phase B of the two-phase protocol) ---
+// --- per-shard overflow stores (within-query sharded verification) ---
 //
-// Each verification worker owns one shard. MatchCount serves ranges covered
-// by the shared store's prefetched signatures read-only; a pair that needs
-// deeper hashes copies the shared prefix of each endpoint once and extends
-// the copy locally with the same hasher (hash values are a pure function of
-// (hasher, row, chunk), so results are identical to sequential growth).
+// Each verification worker of one query owns one shard. RowWords /
+// RowHashes serve rows the shared store's prefetched signatures cover
+// read-only; a row needed deeper is copied from the shared prefix once and
+// extended locally with the same hasher (hash values are a pure function
+// of (hasher, row, chunk), so results are identical to sequential growth).
 // computed() reports only locally computed hashes — copies of prefetched
 // prefixes are never double-counted.
 
 class BitOverflowShard {
  public:
   explicit BitOverflowShard(const BitSignatureStore* base) : base_(base) {}
-
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
 
   // Words of `row` covering at least n_bits: the shared store's array when
   // it already does, else the shard-local extension (query-mode matching
@@ -444,8 +439,6 @@ class BitOverflowShard {
 class IntOverflowShard {
  public:
   explicit IntOverflowShard(const IntSignatureStore* base) : base_(base) {}
-
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
 
   // Hashes of `row` covering at least n_hashes (see
   // BitOverflowShard::RowWords).

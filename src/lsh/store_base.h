@@ -5,7 +5,7 @@
 // The serving stack (core/index_io.h, core/query_search.h,
 // core/dynamic_index.h, core/sharded_index.h) was grown against the three
 // original stores (SRP bits, minwise ints, b-bit packed), which share an
-// implicit lifecycle: lazily grown rows → two-phase sharded prefetch →
+// implicit lifecycle: lazily grown rows → two-phase parallel growth →
 // Freeze() → lock-free serving, with Save/Load/LoadViews/CopyRowsFrom and
 // AppendRow riding along. SignatureStoreBase makes that contract explicit so
 // the serving layers drive *any* store generically, and WordChunkHasher /
@@ -99,7 +99,7 @@ class SignatureStoreBase {
   virtual void EnsureRow(uint32_t row, uint32_t n) = 0;
   virtual void EnsureAll(uint32_t n) = 0;
 
-  // Two-phase sharded prefetch: uncounted per-row growth (safe concurrently
+  // Two-phase parallel growth: uncounted per-row growth (safe concurrently
   // for distinct rows) returning the work done, merged later via
   // AddComputed (zero merges dropped, tally relaxed-atomic).
   virtual uint64_t EnsureRowUncounted(uint32_t row, uint32_t n) = 0;

@@ -487,6 +487,25 @@ measure_lifecycle euclidean 5.0
 # Euclidean reports distances, not negated similarities.
 awk '$3 < 0 { exit 1 }' m_euclidean.q1.txt || { echo "FAIL: euclidean query printed negative distances" >&2; fails=$((fails + 1)); }
 
+# An index serves any radius with the hashes it was built with: built at
+# 4.0 and queried at 2.0, it answers what an index built at 2.0 answers.
+"$CLI" generate --kind text --vectors 200 --output euc_corpus.txt --seed 5 \
+  2>/dev/null
+"$CLI" index --input euc_corpus.txt --output euc_wide.idx \
+  --measure euclidean --threshold 4.0 2>/dev/null
+check_rc "euclidean index at 4.0" 0 $?
+"$CLI" index --input euc_corpus.txt --output euc_narrow.idx \
+  --measure euclidean --threshold 2.0 2>/dev/null
+check_rc "euclidean index at 2.0" 0 $?
+"$CLI" query --index euc_wide.idx --query-file euc_corpus.txt \
+  --threshold 2.0 --output euc_wide.txt 2>/dev/null
+check_rc "euclidean 4.0 index queried at 2.0" 0 $?
+"$CLI" query --index euc_narrow.idx --query-file euc_corpus.txt \
+  --output euc_narrow.txt 2>/dev/null
+check_rc "euclidean 2.0 index query" 0 $?
+[ "$(wc -l < euc_narrow.txt)" -ge 200 ] || { echo "FAIL: euclidean 2.0 index lost self-matches" >&2; fails=$((fails + 1)); }
+cmp -s euc_wide.txt euc_narrow.txt || { echo "FAIL: euclidean index served at another radius differs from one built there" >&2; fails=$((fails + 1)); }
+
 # The kernel flags reach the build: an rbf klsh index builds and serves.
 "$CLI" index --input corpus.txt --output klsh_rbf.idx --measure klsh \
   --threshold 0.9 --kernel rbf --kernel-gamma 0.01 --anchors 16 2>/dev/null

@@ -231,13 +231,16 @@ TEST(ServeControlBreaker, FailedProbeReopensWithFreshBackoff) {
   ASSERT_TRUE(breaker.AllowRequest(0.0));
   breaker.RecordFailure(0.0);
   EXPECT_EQ(breaker.state(0.0), BreakerState::kOpen);
+  EXPECT_EQ(breaker.times_opened(), 1u);
   ASSERT_TRUE(breaker.AllowRequest(5.5));  // Half-open probe.
   breaker.RecordFailure(5.5);              // Probe failed.
   EXPECT_EQ(breaker.state(5.6), BreakerState::kOpen);
+  EXPECT_EQ(breaker.times_opened(), 2u);
   EXPECT_FALSE(breaker.AllowRequest(10.0));  // Fresh backoff from 5.5.
   EXPECT_TRUE(breaker.AllowRequest(10.6));
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(10.7), BreakerState::kClosed);
+  EXPECT_EQ(breaker.times_opened(), 2u);  // Closing is not an open.
 }
 
 TEST(ServeControlBreaker, AbandonedProbeFreesTheSlot) {
@@ -490,6 +493,52 @@ TEST(ShardedServe, MoreShardsThanRowsServesEmptyShards) {
   EXPECT_TRUE(sharded.Contains(id));
 }
 
+TEST(ShardedServe, ReusedStatsReportOneCall) {
+  // Every serving layer overwrites the caller's QueryStats; a stats object
+  // reused across calls reports the last call only, on every entry point.
+  const ServeCase c{"srp_cosine", Measure::kCosine, 0, 0.6};
+  const Dataset corpus = MakeCorpus(c, 16, 120);
+  ShardedIndexConfig scfg;
+  scfg.num_shards = 2;
+  ShardedIndex sharded(corpus, BuildConfigFor(c, 1), scfg);
+  const SparseVectorView q = corpus.Row(4);
+
+  const auto expect_same = [](const QueryStats& want, const QueryStats& got) {
+    EXPECT_EQ(want.candidates, got.candidates);
+    EXPECT_EQ(want.pruned, got.pruned);
+    EXPECT_EQ(want.hashes_compared, got.hashes_compared);
+    EXPECT_EQ(want.shards_total, got.shards_total);
+    EXPECT_EQ(want.shards_answered, got.shards_answered);
+    EXPECT_EQ(want.query_gen_chunks, got.query_gen_chunks);
+    EXPECT_EQ(want.query_verify_chunks, got.query_verify_chunks);
+  };
+  QueryStats once;
+  sharded.Query(q, &once);
+  EXPECT_GT(once.candidates, 0u);
+  EXPECT_EQ(once.shards_total, 2u);
+  EXPECT_GT(once.query_gen_chunks, 0u);  // The router's sketch.
+
+  QueryStats reused;
+  for (int i = 0; i < 3; ++i) sharded.Query(q, &reused);
+  expect_same(once, reused);
+  for (int i = 0; i < 3; ++i) sharded.Query(sharded.Sketch(q), &reused);
+  EXPECT_EQ(reused.query_gen_chunks, 0u);  // Hashed before the call.
+  EXPECT_EQ(reused.candidates, once.candidates);
+  EXPECT_EQ(reused.shards_total, 2u);
+
+  QueryStats topk_once, topk_reused;
+  sharded.QueryTopK(q, 3, &topk_once);
+  for (int i = 0; i < 3; ++i) sharded.QueryTopK(q, 3, &topk_reused);
+  expect_same(topk_once, topk_reused);
+
+  const std::vector<SparseVectorView> batch = {q, corpus.Row(9)};
+  QueryStats batch_once, batch_reused;
+  sharded.QueryBatch(batch, &batch_once);
+  for (int i = 0; i < 3; ++i) sharded.QueryBatch(batch, &batch_reused);
+  expect_same(batch_once, batch_reused);
+  EXPECT_EQ(batch_reused.shards_total, 2u);
+}
+
 TEST(ShardedServe, ZeroShardsRejected) {
   const ServeCase c{"srp_cosine", Measure::kCosine, 0, 0.6};
   const Dataset corpus = MakeCorpus(c, 11, 20);
@@ -583,7 +632,9 @@ TEST(DegradedServe, DeadShardDegradesOpensBreakerAndRecovers) {
     EXPECT_EQ(stats.shards_answered, kShards - 1);
     EXPECT_EQ(stats.deadline_expired, 0u);  // Failure, not a deadline.
   }
-  EXPECT_EQ(sharded.shard_state(dead).breaker, BreakerState::kOpen);
+  // Opened once (the open count, unlike state(), cannot have timed out).
+  EXPECT_EQ(sharded.shard_state(dead).times_opened, 1u);
+  EXPECT_NE(sharded.shard_state(dead).breaker, BreakerState::kClosed);
 
   // Open breaker: the shard is skipped instantly — same degraded answer,
   // no error churn.
@@ -611,14 +662,27 @@ TEST(DegradedServe, FailedProbeReopensTheBreaker) {
   scfg.breaker.open_seconds = 0.15;
   ShardedIndex sharded(corpus, icfg, scfg);
 
+  // The checks read the open count, not state(): state() turns kHalfOpen
+  // once open_seconds pass, which a slow machine can reach before the
+  // query that opened the breaker returns.
   const uint32_t dead = 0;
   sharded.fault_injector().FailNext(dead, 1000);
   sharded.Query(corpus.Row(1));  // Failure 1 opens the breaker.
-  EXPECT_EQ(sharded.shard_state(dead).breaker, BreakerState::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  sharded.Query(corpus.Row(1));  // Half-open probe fails...
-  EXPECT_EQ(sharded.shard_state(dead).breaker,
-            BreakerState::kOpen);  // ...straight back to open.
+  EXPECT_EQ(sharded.shard_state(dead).times_opened, 1u);
+  EXPECT_NE(sharded.shard_state(dead).breaker, BreakerState::kClosed);
+  // Wait out the backoff: the next query carries the half-open probe.
+  const auto waited = std::chrono::steady_clock::now();
+  while (sharded.shard_state(dead).breaker != BreakerState::kHalfOpen) {
+    ASSERT_LT(Elapsed(waited), 30.0) << "the backoff never elapsed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  QueryStats stats;
+  sharded.Query(corpus.Row(1), &stats);  // The probe fails...
+  EXPECT_EQ(stats.shards_answered, 1u);
+  const ShardState after = sharded.shard_state(dead);
+  EXPECT_EQ(after.times_opened, 2u);  // ...straight back to open.
+  EXPECT_EQ(after.consecutive_failures, 2u);
+  EXPECT_NE(after.breaker, BreakerState::kClosed);
 }
 
 TEST(DegradedServe, WedgedShardTimesOutAndServerKeepsServing) {

@@ -384,6 +384,40 @@ TEST(KlshHasherTest, DeterministicForFixedSeed) {
   EXPECT_EQ(h1.HashChunk(row, 3), h2.HashChunk(h2.AnchorKernelRow(data.Row(5)), 3));
 }
 
+TEST(KlshHasherTest, WithSeedHashesLikeAFreshFactorization) {
+  const Dataset data = MakeRandomDenseData(40, 8, 11);
+  const RbfKernel rbf(0.3);
+  for (const KlshDirection direction :
+       {KlshDirection::kGaussianNystrom, KlshDirection::kSubsetClt}) {
+    KlshParams params;
+    params.num_anchors = 24;
+    params.direction = direction;
+    params.seed = 5;
+    const KlshHasher gen(data, &rbf, params);
+    const KlshHasher sibling = gen.WithSeed(77);
+    params.seed = 77;
+    const KlshHasher fresh = KlshHasher::FromAnchors(gen.anchors(), &rbf,
+                                                     params);
+    EXPECT_EQ(sibling.params().seed, 77u);
+    EXPECT_EQ(sibling.num_anchors(), gen.num_anchors());
+    for (uint32_t chunk = 0; chunk < 3; ++chunk) {
+      const DenseMatrix& a = sibling.WeightSlab(chunk);
+      const DenseMatrix& b = fresh.WeightSlab(chunk);
+      for (uint32_t i = 0; i < gen.num_anchors(); ++i) {
+        for (uint32_t j = 0; j < 64; ++j) ASSERT_EQ(a.at(i, j), b.at(i, j));
+      }
+      for (uint32_t r = 0; r < data.num_vectors(); r += 3) {
+        const auto row = gen.AnchorKernelRow(data.Row(r));
+        EXPECT_EQ(sibling.HashChunk(row, chunk), fresh.HashChunk(row, chunk));
+      }
+    }
+    // A different seed is a different family over the same geometry.
+    if (direction == KlshDirection::kGaussianNystrom) {
+      EXPECT_NE(gen.WeightSlab(0).at(0, 0), sibling.WeightSlab(0).at(0, 0));
+    }
+  }
+}
+
 TEST(KlshHasherTest, AnchorCountClampsToDatasetSize) {
   const Dataset data = MakeRandomDenseData(10, 4, 3);
   const LinearKernel lin;

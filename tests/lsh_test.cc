@@ -589,13 +589,13 @@ TEST(TwoPhaseStoreTest, BitOverflowShardMatchesSequential) {
   base.AddBitsComputed(base.EnsureBitsUncounted(0, 64) +
                        base.EnsureBitsUncounted(1, 64));
   BitOverflowShard shard(&base);
-  // Within the horizon: served read-only, no local hashing.
-  EXPECT_EQ(shard.MatchCount(0, 1, 0, 64), seq.MatchCountReadOnly(0, 1, 0, 64));
+  // Within the horizon: served from the shared store, no local hashing.
+  EXPECT_EQ(shard.RowWords(0, 64), base.Words(0));
   EXPECT_EQ(shard.computed(), 0u);
   // Beyond the horizon: locally extended, same values as sequential.
-  uint32_t m = shard.MatchCount(0, 1, 0, 64);
-  m += shard.MatchCount(0, 1, 64, 512);
-  EXPECT_EQ(m, seq_m);
+  const uint64_t* w0 = shard.RowWords(0, 512);
+  const uint64_t* w1 = shard.RowWords(1, 512);
+  EXPECT_EQ(MatchingBits(w0, w1, 0, 512), seq_m);
   // Overflow accounting covers exactly the beyond-horizon growth of both
   // rows: (512 - 64) * 2.
   EXPECT_EQ(shard.computed(), 2u * (512u - 64u));
@@ -612,16 +612,21 @@ TEST(TwoPhaseStoreTest, IntOverflowShardMatchesSequential) {
   b.AddSetRow({2, 3, 4, 5});
   const Dataset d = std::move(b).Build();
   IntSignatureStore seq(&d, MinwiseHasher(21));
-  const uint32_t seq_m = seq.MatchCount(0, 1, 0, 256);
+  seq.EnsureHashes(0, 256);
+  seq.EnsureHashes(1, 256);
 
   IntSignatureStore base(&d, MinwiseHasher(21));
   base.AddHashesComputed(base.EnsureHashesUncounted(0, 16) +
                          base.EnsureHashesUncounted(1, 16));
   IntOverflowShard shard(&base);
-  uint32_t m = shard.MatchCount(0, 1, 0, 16);
+  EXPECT_EQ(shard.RowHashes(0, 16), base.Hashes(0));
   EXPECT_EQ(shard.computed(), 0u);
-  m += shard.MatchCount(0, 1, 16, 256);
-  EXPECT_EQ(m, seq_m);
+  for (uint32_t row = 0; row < 2; ++row) {
+    const uint32_t* h = shard.RowHashes(row, 256);
+    for (uint32_t j = 0; j < 256; ++j) {
+      ASSERT_EQ(h[j], seq.Hashes(row)[j]) << "row " << row << ", hash " << j;
+    }
+  }
   EXPECT_EQ(shard.computed(), 2u * (256u - 16u));
   base.AddHashesComputed(shard.computed());
   EXPECT_EQ(base.hashes_computed(), seq.hashes_computed());
@@ -629,7 +634,7 @@ TEST(TwoPhaseStoreTest, IntOverflowShardMatchesSequential) {
 }
 
 TEST(TwoPhaseStoreTest, MergeIntoFoldsOverflowBack) {
-  // After a parallel join, folding a shard's extended rows back into the
+  // After a parallel query, folding a shard's extended rows back into the
   // shared store lets later phases serve them read-only at no extra cost.
   const Dataset d = TwoRowCosineData();
   const ImplicitGaussianSource src(9);
@@ -637,7 +642,9 @@ TEST(TwoPhaseStoreTest, MergeIntoFoldsOverflowBack) {
   base.AddBitsComputed(base.EnsureBitsUncounted(0, 64) +
                        base.EnsureBitsUncounted(1, 64));
   BitOverflowShard shard(&base);
-  const uint32_t m = shard.MatchCount(0, 1, 0, 512);
+  const uint64_t* w0 = shard.RowWords(0, 512);
+  const uint64_t* w1 = shard.RowWords(1, 512);
+  const uint32_t m = MatchingBits(w0, w1, 0, 512);
   base.AddBitsComputed(shard.computed());
   shard.MergeInto(&base);
   EXPECT_EQ(base.NumBits(0), 512u);
@@ -648,7 +655,8 @@ TEST(TwoPhaseStoreTest, MergeIntoFoldsOverflowBack) {
   EXPECT_EQ(base.bits_computed(), 2u * 512u);
   // A fresh shard over the merged store never recomputes those chunks.
   BitOverflowShard next(&base);
-  EXPECT_EQ(next.MatchCount(0, 1, 0, 512), m);
+  EXPECT_EQ(next.RowWords(0, 512), base.Words(0));
+  EXPECT_EQ(next.RowWords(1, 512), base.Words(1));
   EXPECT_EQ(next.computed(), 0u);
 }
 

@@ -284,6 +284,65 @@ TEST_P(MeasureServing, DynamicAddThenCompactIsStable) {
   }
 }
 
+TEST(MeasureServingEuclidean, ServesAnyRadiusWithTheBuildWidth) {
+  // An index hashes with the p-stable width of its build radius; serving it
+  // at another radius must keep hashing queries (and delta rows) with that
+  // width, and then answer exactly what an index built at the serving
+  // radius answers.
+  const MeasureCase wide{"euclidean", Measure::kEuclidean, 4.0};
+  const MeasureCase narrow{"euclidean", Measure::kEuclidean, 2.0};
+  const Dataset all = TextWeighted(35, kRows + 20);
+  DatasetBuilder base_builder(all.num_dims());
+  for (uint32_t r = 0; r < kRows; ++r) {
+    const SparseVectorView v = all.Row(r);
+    std::vector<std::pair<uint32_t, float>> entries;
+    for (uint32_t e = 0; e < v.size(); ++e) {
+      entries.emplace_back(v.indices[e], v.values[e]);
+    }
+    base_builder.AddRow(entries);
+  }
+  const Dataset data = std::move(base_builder).Build();
+  const auto build = [&](const MeasureCase& c) {
+    Dataset copy = data;
+    return PersistentIndex::Build(std::move(copy), BuildConfigFor(c, 1));
+  };
+  const std::unique_ptr<PersistentIndex> built_wide = build(wide);
+  const std::unique_ptr<PersistentIndex> built_narrow = build(narrow);
+
+  const QuerySearchConfig cfg = ServeConfigFor(narrow, 1);
+  const QuerySearcher fresh(&data, cfg);
+  const QuerySearcher warm_narrow(built_narrow.get(), cfg);
+  const QuerySearcher warm_wide(built_wide.get(), cfg);
+  uint64_t matches = 0;
+  for (uint32_t q = 0; q < kRows; ++q) {
+    const std::vector<QueryMatch> want = warm_narrow.Query(data.Row(q));
+    matches += want.size();
+    ExpectSameMatches(want, warm_wide.Query(data.Row(q)),
+                      "wide index served narrow", q);
+    ExpectSameMatches(want, fresh.Query(data.Row(q)), "fresh narrow", q);
+  }
+  EXPECT_GE(matches, kRows) << "every row should at least match itself";
+
+  // A hash radius other than the index's is refused.
+  QuerySearchConfig mismatched = cfg;
+  mismatched.hash_radius = 3.0;
+  EXPECT_THROW(QuerySearcher(built_wide.get(), mismatched), IndexError);
+
+  // The dynamic path: the delta hashes with the base's width.
+  DynamicIndexConfig dcfg;
+  dcfg.threshold = narrow.threshold;
+  DynamicIndex dyn_wide(build(wide), dcfg);
+  DynamicIndex dyn_narrow(build(narrow), dcfg);
+  for (uint32_t r = kRows; r < all.num_vectors(); ++r) {
+    EXPECT_EQ(dyn_wide.Add(all.Row(r)), dyn_narrow.Add(all.Row(r)));
+  }
+  for (uint32_t q = 0; q < all.num_vectors(); q += 3) {
+    ExpectSameMatches(dyn_narrow.Query(all.Row(q)),
+                      dyn_wide.Query(all.Row(q)), "dynamic wide vs narrow",
+                      q);
+  }
+}
+
 std::string CaseName(
     const ::testing::TestParamInfo<std::tuple<MeasureCase, uint32_t>>& info) {
   return std::string(std::get<0>(info.param).name) + "_" +

@@ -1,17 +1,23 @@
 // The parallel engine's contract: RunPipeline (and the query/top-k paths
 // built on it) produce pair-for-pair identical results for num_threads
 // in {1, 2, 8}, across every generator × verifier × measure combination,
-// and the hashing-overhead accounting stays within the documented
-// prefetch-horizon slack of the single-threaded count.
+// and the hashing tally equals the single-threaded count exactly. The
+// level-synchronous verifiers are also checked directly against the
+// depth-first engines on every store they serve.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "candgen/allpairs.h"
 #include "candgen/multiprobe.h"
+#include "candgen/prefix_filter_join.h"
 #include "common/thread_pool.h"
+#include "core/parallel_verify.h"
 #include "core/pipeline.h"
 #include "core/query_search.h"
 #include "core/topk_search.h"
@@ -88,17 +94,18 @@ TEST_P(PipelineThreadDeterminismTest, IdenticalAcrossThreadCounts) {
     ExpectIdentical(base, got, threads);
     // Generation hashing is row-complete in both modes: identical tallies.
     EXPECT_EQ(base.gen_hashes_computed, got.gen_hashes_computed);
-    // Verification hashing may exceed the single-threaded count by the
-    // prefetch-horizon slack (cross-shard duplication of deep rows), but
-    // never undershoots it and stays within a per-shard factor.
-    EXPECT_GE(got.verify_hashes_computed, base.verify_hashes_computed);
-    EXPECT_LE(got.verify_hashes_computed,
-              base.verify_hashes_computed * (threads + 1));
+    // Verification grows each row to exactly the chunk the depth-first
+    // engine's lazy growth reaches: identical tallies.
+    EXPECT_EQ(base.verify_hashes_computed, got.verify_hashes_computed)
+        << threads << " threads";
     // The Fig. 4 survival curve is a per-pair property: identical.
     EXPECT_EQ(base.vstats.surviving_after_round,
               got.vstats.surviving_after_round);
     EXPECT_EQ(base.vstats.accepted, got.vstats.accepted);
     EXPECT_EQ(base.vstats.pruned, got.vstats.pruned);
+    EXPECT_EQ(base.vstats.forced_accepts, got.vstats.forced_accepts);
+    EXPECT_EQ(base.vstats.exact_computed, got.vstats.exact_computed);
+    EXPECT_EQ(base.vstats.hashes_compared, got.vstats.hashes_compared);
   }
 }
 
@@ -177,6 +184,154 @@ TEST(PipelineThreadShardingTest, LargeCandidateListExercisesShardedVerify) {
   ExpectIdentical(base, got, 8);
   EXPECT_EQ(got.threads_used, 8u);
   EXPECT_EQ(base.threads_used, 1u);
+}
+
+// --- the level-synchronous verifiers against the depth-first engines ---
+
+struct VerifyOutcome {
+  std::vector<ScoredPair> pairs;
+  VerifyStats stats;
+  uint64_t hashed = 0;
+};
+
+void ExpectSameOutcome(const VerifyOutcome& base, const VerifyOutcome& got,
+                       uint32_t threads) {
+  ASSERT_EQ(base.pairs.size(), got.pairs.size()) << threads << " threads";
+  for (size_t i = 0; i < base.pairs.size(); ++i) {
+    EXPECT_EQ(base.pairs[i].a, got.pairs[i].a) << threads << " threads";
+    EXPECT_EQ(base.pairs[i].b, got.pairs[i].b) << threads << " threads";
+    EXPECT_EQ(base.pairs[i].sim, got.pairs[i].sim)
+        << threads << " threads, pair " << i;
+  }
+  EXPECT_EQ(base.stats.pairs_in, got.stats.pairs_in);
+  EXPECT_EQ(base.stats.accepted, got.stats.accepted);
+  EXPECT_EQ(base.stats.pruned, got.stats.pruned);
+  EXPECT_EQ(base.stats.forced_accepts, got.stats.forced_accepts);
+  EXPECT_EQ(base.stats.exact_computed, got.stats.exact_computed);
+  EXPECT_EQ(base.stats.hashes_compared, got.stats.hashes_compared);
+  EXPECT_EQ(base.stats.surviving_after_round,
+            got.stats.surviving_after_round);
+  EXPECT_EQ(base.hashed, got.hashed) << threads << " threads";
+}
+
+// Candidates sorted by exact similarity, highest first: every pair that
+// survives past the first rounds sits in the first worker's share, the
+// shape that starved the other workers under contiguous sharding.
+std::vector<std::pair<uint32_t, uint32_t>> SkewedCandidates(
+    const Dataset& data, const CandidateList& list, Measure measure) {
+  std::vector<double> sim(list.pairs.size());
+  for (size_t i = 0; i < list.pairs.size(); ++i) {
+    sim[i] = ExactSimilarity(data, list.pairs[i].first,
+                             list.pairs[i].second, measure);
+  }
+  std::vector<size_t> order(list.pairs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t x, size_t y) { return sim[x] > sim[y]; });
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  pairs.reserve(order.size());
+  for (const size_t i : order) pairs.push_back(list.pairs[i]);
+  return pairs;
+}
+
+// Runs BayesLSH and BayesLSH-Lite depth-first and level-synchronously at
+// 2 and 8 threads, for the default budget and for a tight one that is not
+// a whole number of chunks (forced accepts, capped last level), and
+// expects identical outcomes. make_store() returns a fresh store.
+template <typename Model, typename MakeStore>
+void ExpectLevelSyncMatchesDepthFirst(
+    const Model& model, const MakeStore& make_store, const Dataset& data,
+    Measure measure, double threshold,
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
+  ASSERT_GE(pairs.size(), kMinPairsPerShard * 8)
+      << "too few candidates to run the parallel driver at 8 threads";
+  const auto exact = [&](uint32_t a, uint32_t b) {
+    return ExactSimilarity(data, a, b, measure);
+  };
+  BayesLshParams tight;
+  tight.max_hashes = 96;
+  uint64_t forced = 0;
+  for (const BayesLshParams& params : {BayesLshParams{}, tight}) {
+    const uint32_t lite_budget = std::min<uint32_t>(params.max_hashes, 128);
+    VerifyOutcome bayes, lite;
+    {
+      auto store = make_store();
+      bayes.pairs =
+          BayesLshVerify(model, store.get(), pairs, params, &bayes.stats);
+      bayes.hashed = store->computed();
+    }
+    {
+      auto store = make_store();
+      lite.pairs = BayesLshLiteVerify(model, store.get(), pairs, lite_budget,
+                                      exact, threshold, params, &lite.stats);
+      lite.hashed = store->computed();
+    }
+    forced += bayes.stats.forced_accepts;
+    EXPECT_GT(bayes.stats.accepted, 0u);
+    EXPECT_GT(lite.stats.exact_computed, 0u);
+    for (uint32_t threads : {2u, 8u}) {
+      ThreadPool pool(threads);
+      VerifyOutcome got;
+      auto store = make_store();
+      got.pairs = BayesLshVerifyParallel(model, store.get(), pairs, params,
+                                         &pool, &got.stats);
+      got.hashed = store->computed();
+      ExpectSameOutcome(bayes, got, threads);
+
+      VerifyOutcome got_lite;
+      auto lite_store = make_store();
+      got_lite.pairs = BayesLshLiteVerifyParallel(
+          model, lite_store.get(), pairs, lite_budget, exact, threshold,
+          params, &pool, &got_lite.stats);
+      got_lite.hashed = lite_store->computed();
+      ExpectSameOutcome(lite, got_lite, threads);
+    }
+  }
+  EXPECT_GT(forced, 0u) << "the tight budget never forced an accept";
+}
+
+TEST(LevelSyncThreadDeterminismTest, CosineBitStore) {
+  const Dataset data = TextWeighted(27, 700);
+  const auto pairs = SkewedCandidates(
+      data, AllPairsCandidates(data, 0.4), Measure::kCosine);
+  const auto gauss = std::make_shared<ImplicitGaussianSource>(uint64_t{5});
+  ExpectLevelSyncMatchesDepthFirst(
+      CosinePosterior(0.6),
+      [&] {
+        return std::make_unique<BitSignatureStore>(&data,
+                                                   SrpHasher(gauss.get()));
+      },
+      data, Measure::kCosine, 0.6, pairs);
+}
+
+TEST(LevelSyncThreadDeterminismTest, JaccardIntStoreRoundSpansTwoChunks) {
+  const Dataset data = GraphBinary(28, 700);
+  const auto pairs = SkewedCandidates(
+      data, PrefixFilterCandidates(data, 0.2, Measure::kJaccard),
+      Measure::kJaccard);
+  ASSERT_LT(IntSignatureStore::kChunkHashes, BayesLshParams{}.hashes_per_round)
+      << "a round should span more than one minwise chunk";
+  ExpectLevelSyncMatchesDepthFirst(
+      JaccardPosterior(0.4),
+      [&] {
+        return std::make_unique<IntSignatureStore>(&data, MinwiseHasher(9));
+      },
+      data, Measure::kJaccard, 0.4, pairs);
+}
+
+TEST(LevelSyncThreadDeterminismTest, JaccardBbitStore) {
+  const Dataset data = GraphBinary(29, 700);
+  const auto pairs = SkewedCandidates(
+      data, PrefixFilterCandidates(data, 0.2, Measure::kJaccard),
+      Measure::kJaccard);
+  constexpr uint32_t kBits = 2;
+  ExpectLevelSyncMatchesDepthFirst(
+      BbitMinwisePosterior(0.4, kBits),
+      [&] {
+        return std::make_unique<BbitSignatureStore>(&data, MinwiseHasher(11),
+                                                    kBits);
+      },
+      data, Measure::kJaccard, 0.4, pairs);
 }
 
 TEST(TopKThreadDeterminismTest, IdenticalAcrossThreadCounts) {
